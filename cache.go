@@ -2,14 +2,15 @@ package lclgrid
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lclgrid/internal/core"
 )
@@ -244,35 +245,51 @@ func (c *lruCache) Stats() CacheStats {
 	}
 }
 
-// --- Disk-backed cache ------------------------------------------------------
+// --- Persistent tier: a memory SynthCache over a BlobStore -------------------
 
-// diskCache layers persistence under an in-memory SynthCache: every
-// successfully synthesized table (and every cached UNSAT) is serialized
-// to a JSON file under dir, and a Get that misses the inner cache loads
-// from disk, so tables survive process restarts. Writes are atomic
-// (temp file + rename) and file names are keyed by the problem
-// fingerprint and shape, so concurrent engines can safely share a
-// directory. Failures other than UNSAT (malformed shapes, structural
-// errors) stay in the inner cache only.
+// blobTier is the one persistent SynthCache: an in-memory SynthCache
+// layered over a BlobStore. Every synthesized table (and every cached
+// UNSAT) is encoded into the store, and a Get that misses the memory
+// layer loads from the store. Two stores sit under it: a directory
+// (NewDiskCache, so tables survive restarts) and the cache service's
+// HTTP client (NewRemoteCache, so a fleet shares them). Record names are
+// keyed by the problem fingerprint and shape, so concurrent engines can
+// safely share one store. Failures other than UNSAT (malformed shapes,
+// structural errors) stay in the memory layer only.
 //
-// I/O is best-effort: an unreadable or corrupt file is treated as a
-// miss (and removed, so the next Put heals it), and a failed write
-// leaves the in-memory entry intact.
-type diskCache struct {
-	dir   string
+// Store I/O is best-effort: an unreadable or corrupt record is a miss
+// (and is deleted, so the next Put heals it), and a failed write leaves
+// the memory entry intact.
+type blobTier struct {
 	inner SynthCache
+	store tierStore
+	obs   RemoteCacheObserver // nil = store operations unobserved
 
-	// mu serialises the disk interactions — load-and-promote (Get's
-	// file read + inner.Put), file writes and file removals — across
-	// ALL keys: without it a Get that read a file could re-promote an
-	// entry a concurrent Evict just removed. Disk traffic is cold-path
-	// only (the in-memory layer absorbs the steady state and is checked
-	// before the lock), so a single mutex costs nothing measurable.
-	mu sync.Mutex
+	// mu guards the eviction epoch. A Get that loaded a record promotes
+	// it into memory only if no Evict began or ended while the record
+	// was in flight: without the check, a Get that read a record could
+	// re-promote an entry a concurrent Evict just removed. The lock is
+	// never held across store I/O, so a sick store cannot line every cold
+	// miss up behind one slow round trip.
+	mu       sync.Mutex
+	epoch    uint64 // bumped when an Evict starts and when it ends
+	evicting int    // Evicts between their two bumps
 
-	// diskHits counts Gets served by deserializing a file; folded into
-	// Stats so the disk layer's effectiveness is observable.
-	diskHits atomic.Uint64
+	// storeHits counts Gets served by decoding a stored record; folded
+	// into Stats so the store's effectiveness is observable.
+	storeHits atomic.Uint64
+}
+
+// tierStore is what blobTier calls on its store: BlobStore's writes, a
+// read that carries the caller's context (the fleet tier traces its
+// lease-wait reads), and an existence probe that never reads a record —
+// a stat or a HEAD — because the Planner calls Contains on every
+// request.
+type tierStore interface {
+	getContext(ctx context.Context, name string) ([]byte, bool, error)
+	has(name string) (bool, error)
+	Put(name string, data []byte) error
+	Delete(name string) (removed bool, err error)
 }
 
 // NewDiskCache returns a SynthCache that persists synthesized lookup
@@ -285,19 +302,196 @@ func NewDiskCache(dir string, inner SynthCache) (SynthCache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("lclgrid: disk cache needs a directory")
 	}
-	if inner == nil {
-		inner = NewMemoryCache()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lclgrid: disk cache: %w", err)
 	}
-	return &diskCache{dir: dir, inner: inner}, nil
+	return newBlobTier(&dirBlobStore{dir: dir}, inner, nil), nil
 }
 
-func (c *diskCache) setOnEvict(fn func(SynthKey)) {
-	if en, ok := c.inner.(evictNotifier); ok {
+func newBlobTier(store tierStore, inner SynthCache, obs RemoteCacheObserver) *blobTier {
+	if inner == nil {
+		inner = NewMemoryCache()
+	}
+	return &blobTier{inner: inner, store: store, obs: obs}
+}
+
+func (t *blobTier) setOnEvict(fn func(SynthKey)) {
+	if en, ok := t.inner.(evictNotifier); ok {
 		en.setOnEvict(fn)
 	}
+}
+
+func (t *blobTier) observe(op, outcome string, start time.Time) {
+	if t.obs != nil {
+		t.obs.RemoteCacheOp(op, outcome, time.Since(start))
+	}
+}
+
+func (t *blobTier) Get(key SynthKey) (CachedSynthesis, bool) {
+	if val, ok := t.inner.Get(key); ok {
+		return val, true
+	}
+	name := cacheKeyName(key)
+	if name == "" {
+		return CachedSynthesis{}, false
+	}
+	val, ok := t.promote(context.Background(), name, key)
+	if ok {
+		t.storeHits.Add(1)
+	}
+	return val, ok
+}
+
+// promote loads a record and, unless an Evict overlapped the load,
+// puts it in the memory layer.
+func (t *blobTier) promote(ctx context.Context, name string, key SynthKey) (CachedSynthesis, bool) {
+	t.mu.Lock()
+	epoch := t.epoch
+	t.mu.Unlock()
+	val, ok := t.load(ctx, name, key)
+	if !ok {
+		return CachedSynthesis{}, false
+	}
+	t.mu.Lock()
+	if t.epoch == epoch && t.evicting == 0 {
+		t.inner.Put(key, val)
+	}
+	t.mu.Unlock()
+	return val, true
+}
+
+// load reads and decodes one record, touching neither the memory layer
+// nor the hit counters. A record that fails to decode is deleted
+// best-effort, so the next Put heals it instead of every reader
+// tripping over the same poison. Only the fleet tier reads under a
+// traced context, hence the span name.
+func (t *blobTier) load(ctx context.Context, name string, key SynthKey) (val CachedSynthesis, ok bool) {
+	start := time.Now()
+	ctx, sp := StartSpan(ctx, "remote.get")
+	sp.SetAttr("blob", name)
+	outcome := "error"
+	defer func() {
+		t.observe("get", outcome, start)
+		sp.SetAttr("outcome", outcome)
+		sp.End()
+	}()
+	data, found, err := t.store.getContext(ctx, name)
+	if err != nil {
+		return CachedSynthesis{}, false
+	}
+	if !found {
+		outcome = "miss"
+		return CachedSynthesis{}, false
+	}
+	val, err = decodeDiskRecord(data, key)
+	if err != nil {
+		outcome = "corrupt"
+		t.deleteStored(name)
+		return CachedSynthesis{}, false
+	}
+	outcome = "hit"
+	return val, true
+}
+
+// Contains probes both layers without promoting: the memory layer by
+// map lookup, the store by a stat or HEAD. A record that would later
+// fail to decode still answers true — the probe is advisory, and the
+// self-healing Get path resolves the lie at execution time.
+func (t *blobTier) Contains(key SynthKey) bool {
+	if t.inner.Contains(key) {
+		return true
+	}
+	name := cacheKeyName(key)
+	if name == "" {
+		return false
+	}
+	start := time.Now()
+	found, err := t.store.has(name)
+	switch {
+	case err != nil:
+		t.observe("head", "error", start)
+	case found:
+		t.observe("head", "hit", start)
+	default:
+		t.observe("head", "miss", start)
+	}
+	return found
+}
+
+// Put stores into both layers. The store write is synchronous: by the
+// time the engine retires a singleflight slot (and releases the key's
+// cluster lease) the record is visible to every reader of the store.
+func (t *blobTier) Put(key SynthKey, val CachedSynthesis) {
+	t.inner.Put(key, val)
+	data, ok := encodeCacheRecord(key, val)
+	name := cacheKeyName(key)
+	if !ok || name == "" {
+		return // process-local failures are not persisted
+	}
+	start := time.Now()
+	if err := t.store.Put(name, data); err != nil {
+		t.observe("put", "error", start)
+		return
+	}
+	t.observe("put", "stored", start)
+}
+
+// Evict removes the key from both layers, and no Get in flight
+// meanwhile promotes it back into memory.
+func (t *blobTier) Evict(key SynthKey) bool {
+	t.mu.Lock()
+	t.epoch++
+	t.evicting++
+	t.mu.Unlock()
+	removed := t.inner.Evict(key)
+	if name := cacheKeyName(key); name != "" && t.deleteStored(name) {
+		removed = true
+	}
+	t.mu.Lock()
+	t.epoch++
+	t.evicting--
+	t.mu.Unlock()
+	return removed
+}
+
+func (t *blobTier) deleteStored(name string) bool {
+	start := time.Now()
+	removed, err := t.store.Delete(name)
+	if err != nil {
+		t.observe("delete", "error", start)
+		return false
+	}
+	t.observe("delete", "ok", start)
+	return removed
+}
+
+// Reset clears the memory layer only: the store is the persistence the
+// tier exists for (or the fleet's catalogue, not this process's to
+// clear), so bounding memory with periodic Resets does not throw warm
+// state away. Evict individual keys to remove stored records.
+func (t *blobTier) Reset() int {
+	n := t.inner.Reset()
+	t.storeHits.Store(0)
+	return n
+}
+
+// Stats reports the two layers as one: Entries is the number of tables
+// resident in memory (not the number of stored records), and lookups
+// served by decoding a stored record count as Hits rather than Misses —
+// each store hit first missed the memory layer, so the fold moves it
+// from one column to the other. The engine-level view is simpler still:
+// with a warm store, Engine.CacheStats().Misses stays zero across
+// process restarts.
+func (t *blobTier) Stats() CacheStats {
+	s := t.inner.Stats()
+	h := t.storeHits.Load()
+	s.Hits += h
+	if s.Misses >= h {
+		s.Misses -= h
+	} else {
+		s.Misses = 0
+	}
+	return s
 }
 
 // diskRecord is the persistence format shared by the disk cache, the
@@ -373,44 +567,6 @@ func encodeCacheRecord(key SynthKey, val CachedSynthesis) (data []byte, ok bool)
 	return data, true
 }
 
-// path returns the cache file for a key, or "" when the key is not
-// safely encodable as a file name.
-func (c *diskCache) path(key SynthKey) string {
-	name := cacheKeyName(key)
-	if name == "" {
-		return ""
-	}
-	return filepath.Join(c.dir, name+".synth.json")
-}
-
-func (c *diskCache) Get(key SynthKey) (CachedSynthesis, bool) {
-	if val, ok := c.inner.Get(key); ok {
-		return val, true
-	}
-	path := c.path(key)
-	if path == "" {
-		return CachedSynthesis{}, false
-	}
-	// The read and the promotion into the memory layer happen under mu
-	// so a concurrent Evict cannot interleave (read file → evict both
-	// layers → promote stale entry back).
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return CachedSynthesis{}, false
-	}
-	val, err := decodeDiskRecord(data, key)
-	if err != nil {
-		// Corrupt or mismatched: drop the file so the next Put heals it.
-		os.Remove(path)
-		return CachedSynthesis{}, false
-	}
-	c.diskHits.Add(1)
-	c.inner.Put(key, val)
-	return val, true
-}
-
 func decodeDiskRecord(data []byte, key SynthKey) (CachedSynthesis, error) {
 	var rec diskRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -433,89 +589,4 @@ func decodeDiskRecord(data []byte, key SynthKey) (CachedSynthesis, error) {
 		return CachedSynthesis{}, err
 	}
 	return CachedSynthesis{Alg: alg}, nil
-}
-
-// Contains probes both layers without promoting: the memory layer by
-// map lookup, the disk layer by a bare stat. A file that would later
-// fail to decode still answers true — the probe is advisory, and the
-// self-healing Get path resolves the lie at execution time.
-func (c *diskCache) Contains(key SynthKey) bool {
-	if c.inner.Contains(key) {
-		return true
-	}
-	path := c.path(key)
-	if path == "" {
-		return false
-	}
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-func (c *diskCache) Put(key SynthKey, val CachedSynthesis) {
-	c.inner.Put(key, val)
-	data, ok := encodeCacheRecord(key, val)
-	if !ok {
-		// Process-local failures are not persisted.
-		return
-	}
-	path := c.path(key)
-	if path == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*.synth.json")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-func (c *diskCache) Evict(key SynthKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := c.inner.Evict(key)
-	if path := c.path(key); path != "" {
-		if err := os.Remove(path); err == nil {
-			removed = true
-		}
-	}
-	return removed
-}
-
-// Reset clears the in-memory layer only: the disk files are the
-// persistence the layer exists for, so bounding memory with periodic
-// Resets does not throw warm state away. Remove the directory (or Evict
-// individual keys) to clear the disk.
-func (c *diskCache) Reset() int {
-	n := c.inner.Reset()
-	c.diskHits.Store(0)
-	return n
-}
-
-// Stats reports the two layers as one: Entries is the number of tables
-// resident in memory (not the number of files on disk), and lookups
-// served by deserializing a file count as Hits rather than Misses —
-// each disk hit first missed the memory layer, so the fold moves it
-// from one column to the other. The engine-level view is simpler
-// still: with a warm directory, Engine.CacheStats().Misses stays zero
-// across process restarts.
-func (c *diskCache) Stats() CacheStats {
-	s := c.inner.Stats()
-	h := c.diskHits.Load()
-	s.Hits += h
-	if s.Misses >= h {
-		s.Misses -= h
-	} else {
-		s.Misses = 0
-	}
-	return s
 }

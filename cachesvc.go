@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,22 +51,19 @@ import (
 //	DELETE /lease/{name}?owner=X           release: 204 (only X's own
 //	                                       lease is removed)
 //
-// Plus GET /healthz (liveness) and GET /metrics (a minimal Prometheus
-// rendering of the service counters). Blobs are stored in a BlobStore
-// (in-memory, or a directory sharing the disk cache's file format);
-// leases are in-memory — they are short-lived coordination state, and
-// losing them on restart costs at most one duplicated synthesis per
-// in-flight key, never correctness.
+// Plus the shared frontend's probes: GET /healthz, GET /readyz (always
+// ready) and GET /metrics (a minimal Prometheus rendering of the service
+// counters). Blobs are stored in a BlobStore (in-memory, or the same
+// directory store the disk cache uses); leases are in-memory — they are
+// short-lived coordination state, and losing them on restart costs at
+// most one duplicated synthesis per in-flight key, never correctness.
 //
 // A CacheServer is an http.Handler; Serve runs it with the same
 // graceful-drain behaviour as Server.Serve.
 type CacheServer struct {
-	store   BlobStore
-	mux     *http.ServeMux
-	maxBlob int64
-	drain   time.Duration
-	now     func() time.Time
-	traces  *TraceBuffer // nil = tracing off
+	*frontend
+	store BlobStore
+	now   func() time.Time
 
 	leaseMu sync.Mutex
 	leases  map[string]*cacheLease
@@ -114,10 +110,8 @@ type CacheServerStats struct {
 type CacheServerOption func(*cacheServerConfig)
 
 type cacheServerConfig struct {
-	maxBlob int64
-	drain   time.Duration
-	now     func() time.Time
-	traces  *TraceBuffer
+	frontendConfig
+	now func() time.Time
 }
 
 // DefaultMaxBlobBytes caps PUT /cache bodies: far above any real
@@ -129,7 +123,7 @@ const DefaultMaxBlobBytes = 64 << 20
 // WithMaxBlobBytes caps the size of stored records (n <= 0 keeps the
 // default).
 func WithMaxBlobBytes(n int64) CacheServerOption {
-	return func(c *cacheServerConfig) { c.maxBlob = n }
+	return func(c *cacheServerConfig) { c.maxBody = n }
 }
 
 // WithCacheDrainTimeout bounds Serve's graceful-shutdown drain window.
@@ -155,84 +149,40 @@ func WithCacheTracing(buf *TraceBuffer) CacheServerOption {
 // NewCacheServer returns a cache service over the given store (nil
 // selects a fresh in-memory store).
 func NewCacheServer(store BlobStore, opts ...CacheServerOption) *CacheServer {
-	cfg := cacheServerConfig{maxBlob: DefaultMaxBlobBytes, drain: DefaultDrainTimeout, now: time.Now}
+	cfg := cacheServerConfig{now: time.Now}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if store == nil {
 		store = NewMemoryBlobStore()
 	}
-	if cfg.maxBlob <= 0 {
-		cfg.maxBlob = DefaultMaxBlobBytes
+	if cfg.maxBody <= 0 {
+		cfg.maxBody = DefaultMaxBlobBytes
 	}
+	// No admission bound and no request deadline: blob and lease calls
+	// are cheap, and the replicas' own clients time them out.
 	s := &CacheServer{
-		store:   store,
-		mux:     http.NewServeMux(),
-		maxBlob: cfg.maxBlob,
-		drain:   cfg.drain,
-		now:     cfg.now,
-		traces:  cfg.traces,
-		leases:  make(map[string]*cacheLease),
+		store:  store,
+		now:    cfg.now,
+		leases: make(map[string]*cacheLease),
 	}
-	s.mux.HandleFunc("GET /cache/{name}", s.handleGet) // HEAD rides along
-	s.mux.HandleFunc("PUT /cache/{name}", s.handlePut)
-	s.mux.HandleFunc("DELETE /cache/{name}", s.handleDelete)
-	s.mux.HandleFunc("GET /keys", s.handleKeys)
-	s.mux.HandleFunc("POST /lease/{name}", s.handleLeaseAcquire)
-	s.mux.HandleFunc("PUT /lease/{name}", s.handleLeaseHeartbeat)
-	s.mux.HandleFunc("DELETE /lease/{name}", s.handleLeaseRelease)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	})
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.traces != nil {
-		s.mux.Handle("GET /debug/traces", cfg.traces.Handler())
-	}
+	s.frontend = newFrontend("cachesvc", cfg.frontendConfig, s.writeMetrics)
+	s.tracePrefixes, s.rootByURL = []string{"/cache/", "/lease/"}, true
+	s.route("GET /cache/{name}", false, s.handleGet) // HEAD rides along
+	s.route("PUT /cache/{name}", false, s.handlePut)
+	s.route("DELETE /cache/{name}", false, s.handleDelete)
+	s.route("GET /keys", false, s.handleKeys)
+	s.route("POST /lease/{name}", false, s.handleLeaseAcquire)
+	s.route("PUT /lease/{name}", false, s.handleLeaseHeartbeat)
+	s.route("DELETE /lease/{name}", false, s.handleLeaseRelease)
 	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *CacheServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.traces != nil && (strings.HasPrefix(r.URL.Path, "/cache/") || strings.HasPrefix(r.URL.Path, "/lease/")) {
-		tr := traceForRequest("cachesvc", r.Method+" "+r.URL.Path, r)
-		sw := &statusWriter{ResponseWriter: w}
-		sw.Header().Set(TraceIDHeader, tr.ID())
-		s.mux.ServeHTTP(sw, r.WithContext(ContextWithSpan(r.Context(), tr.Root())))
-		tr.Root().SetAttr("status", strconv.Itoa(sw.status()))
-		tr.Finish(s.traces)
-		return
-	}
-	s.mux.ServeHTTP(w, r)
 }
 
 // Serve accepts connections on l until ctx is cancelled, then drains
 // in-flight requests like Server.Serve: a bounded graceful shutdown,
 // force-closing connections only when the drain window expires.
 func (s *CacheServer) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		hs.Close()
-		<-serveErr
-		return fmt.Errorf("lclgrid: drain window %v expired with requests still in flight: %w", s.drain, err)
-	}
-	<-serveErr
-	return nil
+	return s.serve(ctx, l)
 }
 
 // Stats returns a snapshot of the service counters.
@@ -296,14 +246,8 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, errors.New("lclgrid: bad cache key name"))
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBlob))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("lclgrid: cache record exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, r, http.StatusBadRequest, err)
-		}
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if err := s.store.Put(name, data); err != nil {
@@ -462,9 +406,9 @@ func (s *CacheServer) handleLeaseRelease(w http.ResponseWriter, r *http.Request)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *CacheServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// writeMetrics renders the service counters for GET /metrics.
+func (s *CacheServer) writeMetrics(w io.Writer) error {
 	st := s.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	mw := &metricsWriter{w: w}
 	mw.gauge("lclgrid_cachesvc_blobs", "Records in the shared synthesis store.", int64(st.Blobs))
 	mw.counter("lclgrid_cachesvc_gets_total", "GET /cache lookups.", st.Gets)
@@ -479,14 +423,15 @@ func (s *CacheServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		mw.counter("lclgrid_cachesvc_traces_total", "Completed traces deposited in the /debug/traces ring.", added)
 		mw.counter("lclgrid_cachesvc_traces_dropped_total", "Traces evicted from the ring by newer ones.", dropped)
 	}
+	return mw.err
 }
 
 // --- Blob stores ------------------------------------------------------------
 
 // BlobStore is the persistence behind a CacheServer: an opaque
 // name→bytes map. The server never decodes records — validation happens
-// at the RemoteCache client, which treats a corrupt record as a miss
-// and heals it on the next Put. Implementations must be safe for
+// in the cache tier of the replicas, which treats a corrupt record as a
+// miss and heals it on the next Put. Implementations must be safe for
 // concurrent use.
 type BlobStore interface {
 	Get(name string) (data []byte, ok bool, err error)
@@ -517,6 +462,17 @@ func (s *memoryBlobStore) Get(name string) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
+func (s *memoryBlobStore) getContext(_ context.Context, name string) ([]byte, bool, error) {
+	return s.Get(name)
+}
+
+func (s *memoryBlobStore) has(name string) (bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.m[name]
+	return ok, nil
+}
+
 func (s *memoryBlobStore) Put(name string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -544,17 +500,17 @@ func (s *memoryBlobStore) Keys() ([]string, error) {
 	return out, nil
 }
 
-// dirBlobStore persists blobs as files, one per name, using the disk
-// cache's "<name>.synth.json" convention — so a cache service pointed
-// at an existing warm cache directory serves its tables to the whole
-// fleet, and records the fleet stores are readable by a local
-// WithCacheDir engine sharing the directory.
+// dirBlobStore persists blobs as files, one "<name>.synth.json" per
+// name. It is the store under the disk cache too, so a cache service
+// pointed at an existing warm cache directory serves its tables to the
+// whole fleet, and records the fleet stores are readable by a local
+// WithCacheDir engine sharing the directory. Writes are atomic (see
+// writeFileAtomic), so concurrent processes can share a directory.
 type dirBlobStore struct {
 	dir string
-	mu  sync.Mutex // serialize writes (atomic temp+rename per file)
 }
 
-// blobFileSuffix is the shared file convention with the disk cache.
+// blobFileSuffix names the store's files.
 const blobFileSuffix = ".synth.json"
 
 // NewDirBlobStore returns a BlobStore persisting records under dir
@@ -570,7 +526,7 @@ func NewDirBlobStore(dir string) (BlobStore, error) {
 }
 
 func (s *dirBlobStore) path(name string) string {
-	return filepath.Join(s.dir, name+blobFileSuffix)
+	return s.dir + string(filepath.Separator) + name + blobFileSuffix
 }
 
 func (s *dirBlobStore) Get(name string) ([]byte, bool, error) {
@@ -584,29 +540,24 @@ func (s *dirBlobStore) Get(name string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
+func (s *dirBlobStore) getContext(_ context.Context, name string) ([]byte, bool, error) {
+	return s.Get(name)
+}
+
+// has answers with a stat: the probe never reads the record.
+func (s *dirBlobStore) has(name string) (bool, error) {
+	_, err := os.Stat(s.path(name))
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
 func (s *dirBlobStore) Put(name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*"+blobFileSuffix)
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return errors.Join(werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return writeFileAtomic(s.path(name), data)
 }
 
 func (s *dirBlobStore) Delete(name string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	err := os.Remove(s.path(name))
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
@@ -631,4 +582,26 @@ func (s *dirBlobStore) Keys() ([]string, error) {
 		out = append(out, strings.TrimSuffix(name, blobFileSuffix))
 	}
 	return out, nil
+}
+
+// writeFileAtomic replaces path with data through a temp file in the
+// same directory and a rename, so a reader (or a process sharing the
+// directory) sees either the old file or the new one, never a torn
+// write. Temp names start with "." so directory listings skip them.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*-"+filepath.Base(path))
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		os.Remove(tmp.Name())
+		return errors.Join(werr, cerr)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }

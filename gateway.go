@@ -62,19 +62,12 @@ import (
 // A Gateway is an http.Handler; Serve adds the graceful drain and the
 // background health prober.
 type Gateway struct {
-	shards  []string // normalized base URLs, ring member names
-	ring    *ring.Ring
-	client  *http.Client
-	mux     *http.ServeMux
-	metrics *MetricsObserver
-	reg     *Registry
-
-	inflight chan struct{}
-	maxBody  int64
-	timeout  time.Duration
-	drain    time.Duration
+	*frontend
+	shards   []string // normalized base URLs, ring member names
+	ring     *ring.Ring
+	client   *http.Client
+	reg      *Registry
 	probeGap time.Duration
-	traces   *TraceBuffer // nil = tracing off
 
 	healthMu sync.Mutex
 	health   map[string]*shardHealth
@@ -99,15 +92,10 @@ type shardHealth struct {
 type GatewayOption func(*gatewayConfig)
 
 type gatewayConfig struct {
-	client      *http.Client
-	metrics     *MetricsObserver
-	reg         *Registry
-	maxInflight int
-	maxBody     int64
-	timeout     time.Duration
-	drain       time.Duration
-	probeGap    time.Duration
-	traces      *TraceBuffer
+	frontendConfig
+	client   *http.Client
+	reg      *Registry
+	probeGap time.Duration
 }
 
 // WithGatewayClient sets the HTTP client used for upstream shard
@@ -174,11 +162,12 @@ func WithGatewayTracing(buf *TraceBuffer) GatewayOption {
 // are rejected by the ring.
 func NewGateway(shards []string, opts ...GatewayOption) (*Gateway, error) {
 	cfg := gatewayConfig{
-		maxInflight: DefaultMaxInflight,
-		maxBody:     DefaultMaxBodyBytes,
-		timeout:     DefaultRequestTimeout,
-		drain:       DefaultDrainTimeout,
-		probeGap:    5 * time.Second,
+		frontendConfig: frontendConfig{
+			maxInflight: DefaultMaxInflight,
+			maxBody:     DefaultMaxBodyBytes,
+			timeout:     DefaultRequestTimeout,
+		},
+		probeGap: 5 * time.Second,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -201,50 +190,31 @@ func NewGateway(shards []string, opts ...GatewayOption) (*Gateway, error) {
 	if cfg.client == nil {
 		cfg.client = &http.Client{}
 	}
-	if cfg.metrics == nil {
-		cfg.metrics = NewMetricsObserver()
-	}
 	if cfg.reg == nil {
 		cfg.reg = DefaultRegistry()
-	}
-	if cfg.drain <= 0 {
-		cfg.drain = DefaultDrainTimeout
 	}
 	g := &Gateway{
 		shards:   normalized,
 		ring:     r,
 		client:   cfg.client,
-		mux:      http.NewServeMux(),
-		metrics:  cfg.metrics,
 		reg:      cfg.reg,
-		maxBody:  cfg.maxBody,
-		timeout:  cfg.timeout,
-		drain:    cfg.drain,
 		probeGap: cfg.probeGap,
-		traces:   cfg.traces,
 		health:   make(map[string]*shardHealth),
 		fps:      make(map[string]string),
 	}
 	for _, s := range normalized {
 		g.health[s] = &shardHealth{}
 	}
-	if cfg.maxInflight > 0 {
-		g.inflight = make(chan struct{}, cfg.maxInflight)
-	}
-	g.mux.Handle("POST /v1/solve", g.instrument("/v1/solve", g.admit(g.routed("/v1/solve"))))
-	g.mux.Handle("POST /v1/explain", g.instrument("/v1/explain", http.HandlerFunc(g.routed("/v1/explain"))))
-	g.mux.Handle("POST /v1/labels", g.instrument("/v1/labels", g.admit(g.routed("/v1/labels"))))
-	g.mux.Handle("POST /v1/export", g.instrument("/v1/export", g.admit(g.routed("/v1/export"))))
-	g.mux.Handle("POST /v1/batch", g.instrument("/v1/batch", g.admit(g.handleBatch)))
-	g.mux.Handle("GET /v1/problems", g.instrument("/v1/problems", http.HandlerFunc(g.handleProblems)))
-	g.mux.Handle("POST /v1/problems", g.instrument("/v1/problems", http.HandlerFunc(g.handleDefineProblem)))
-	g.mux.Handle("GET /v1/problems/{key}", g.instrument("/v1/problems/{key}", http.HandlerFunc(g.handleProblemGet)))
-	g.mux.Handle("GET /healthz", g.instrument("/healthz", http.HandlerFunc(g.handleHealthz)))
-	g.mux.Handle("GET /readyz", g.instrument("/readyz", http.HandlerFunc(g.handleReadyz)))
-	g.mux.Handle("GET /metrics", g.instrument("/metrics", http.HandlerFunc(g.handleMetrics)))
-	if cfg.traces != nil {
-		g.mux.Handle("GET /debug/traces", cfg.traces.Handler())
-	}
+	cfg.ready = g.Ready
+	g.frontend = newFrontend("gateway", cfg.frontendConfig, nil)
+	g.route("POST /v1/solve", true, g.routed("/v1/solve"))
+	g.route("POST /v1/explain", false, g.routed("/v1/explain"))
+	g.route("POST /v1/labels", true, g.routed("/v1/labels"))
+	g.route("POST /v1/export", true, g.routed("/v1/export"))
+	g.route("POST /v1/batch", true, g.handleBatch)
+	g.route("GET /v1/problems", false, g.handleProblems)
+	g.route("POST /v1/problems", false, g.handleDefineProblem)
+	g.route("GET /v1/problems/{key}", false, g.handleProblemGet)
 	return g, nil
 }
 
@@ -257,11 +227,6 @@ func (g *Gateway) Shards() []string {
 
 // Metrics returns the gateway's metrics observer.
 func (g *Gateway) Metrics() *MetricsObserver { return g.metrics }
-
-// ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.mux.ServeHTTP(w, r)
-}
 
 // Serve accepts connections on l until ctx is cancelled, running the
 // background shard prober for the duration and draining in-flight
@@ -282,29 +247,7 @@ func (g *Gateway) Serve(ctx context.Context, l net.Listener) error {
 			}
 		}
 	}()
-	hs := &http.Server{
-		Handler:           g,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), g.drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		hs.Close()
-		<-serveErr
-		return fmt.Errorf("lclgrid: drain window %v expired with requests still in flight: %w", g.drain, err)
-	}
-	<-serveErr
-	return nil
+	return g.serve(ctx, l)
 }
 
 // --- health -------------------------------------------------------------------
@@ -378,48 +321,6 @@ func (g *Gateway) Ready() error {
 	return errors.New("lclgrid: no healthy shard")
 }
 
-// --- middleware (admission/metrics parity with Server) ------------------------
-
-func (g *Gateway) instrument(path string, next http.Handler) http.Handler {
-	// Only the /v1/ work endpoints trace — probe and scrape noise would
-	// evict the traces worth keeping (same policy as Server).
-	traced := strings.HasPrefix(path, "/v1/")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.metrics.httpStart()
-		sw := &statusWriter{ResponseWriter: w}
-		if g.traces != nil && traced {
-			tr := traceForRequest("gateway", path, r)
-			sw.Header().Set(TraceIDHeader, tr.ID())
-			r = r.WithContext(ContextWithSpan(r.Context(), tr.Root()))
-			defer func() {
-				tr.Root().SetAttr("status", strconv.Itoa(sw.status()))
-				tr.Finish(g.traces)
-			}()
-		}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		g.metrics.httpEnd(path, sw.status(), time.Since(start))
-	})
-}
-
-func (g *Gateway) admit(next http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if g.inflight != nil {
-			select {
-			case g.inflight <- struct{}{}:
-				defer func() { <-g.inflight }()
-			default:
-				g.metrics.httpRejected()
-				w.Header().Set("Retry-After", "1")
-				httpError(w, r, http.StatusTooManyRequests,
-					errors.New("lclgrid: gateway at capacity; retry after backoff"))
-				return
-			}
-		}
-		next(w, r)
-	})
-}
-
 // --- routing ------------------------------------------------------------------
 
 // routingKey reduces a request key to the string placed on the ring:
@@ -446,26 +347,6 @@ func (g *Gateway) routingKey(key string) string {
 	g.fps[key] = routed
 	g.fpMu.Unlock()
 	return routed
-}
-
-// readBody buffers the request body (the gateway must be able to replay
-// it on retry), honouring the body cap.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body := io.Reader(r.Body)
-	if g.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, g.maxBody)
-	}
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("lclgrid: request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: reading request body: %w", err))
-		}
-		return nil, false
-	}
-	return data, true
 }
 
 // keyDoc extracts the routing identity from a request document. Every
@@ -513,12 +394,8 @@ func (g *Gateway) routed(path string) http.HandlerFunc {
 			httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: bad request document: %w", err))
 			return
 		}
-		ctx := r.Context()
-		if g.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, g.timeout)
-			defer cancel()
-		}
+		ctx, cancel := g.requestCtx(r)
+		defer cancel()
 		seq := g.ring.Sequence(g.docRoutingKey(doc))
 		var lastErr error
 		attempts := 0
@@ -695,12 +572,8 @@ func (g *Gateway) handleDefineProblem(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if g.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.timeout)
-		defer cancel()
-	}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
 	var route string
 	var def ProblemDef
 	if err := json.Unmarshal(body, &def); err == nil {
@@ -803,27 +676,6 @@ func (g *Gateway) handleProblemGet(w http.ResponseWriter, r *http.Request) {
 	httpError(w, r, http.StatusBadGateway, fmt.Errorf("lclgrid: problem lookup unavailable: %w", lastErr))
 }
 
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-}
-
-func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if err := g.Ready(); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "unready", "error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.metrics.WritePrometheus(w)
-}
-
 // --- batch fan-out ------------------------------------------------------------
 
 // gwLine mirrors the server's batchLine field-for-field (same names,
@@ -864,12 +716,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if g.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.timeout)
-		defer cancel()
-	}
+	ctx, cancel := g.requestCtx(r)
+	defer cancel()
 
 	// Partition the input by owning shard. The whole batch is decoded
 	// up front — the body is already buffered and capped, and grouping

@@ -99,18 +99,14 @@ func (s *memoryProblemStore) List() []StoredProblem {
 // --- Dir-backed store -------------------------------------------------------
 
 // dirProblemStore layers persistence under a memory store the same way
-// diskCache layers under a SynthCache: one JSON file per problem,
-// atomic temp-file + rename writes, fingerprint-derived file names (so
-// concurrent servers can safely share a directory), and corrupt files
-// removed on load so the next Put heals them. The memory layer is
-// loaded once at open; reads never touch the disk afterwards.
+// the disk cache layers a directory under a SynthCache: one JSON file
+// per problem, atomic writes (writeFileAtomic), fingerprint-derived file
+// names (so concurrent servers can safely share a directory), and
+// corrupt files removed on load so the next Put heals them. The memory
+// layer is loaded once at open; reads never touch the disk afterwards.
 type dirProblemStore struct {
 	dir   string
 	inner *memoryProblemStore
-
-	// mu serialises the disk writes, mirroring diskCache: Put traffic is
-	// rare (one write per novel definition), so one mutex costs nothing.
-	mu sync.Mutex
 }
 
 // problemFileSuffix names the store's files: <fingerprint>.problem.json,
@@ -217,24 +213,5 @@ func (s *dirProblemStore) Put(sp StoredProblem) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*"+problemFileSuffix)
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return writeFileAtomic(path, data)
 }

@@ -11,16 +11,16 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// RemoteCache is the fleet side of the synthesis cache: a SynthCache
-// that layers a shared CacheServer under a local in-memory cache,
-// exactly as diskCache layers a directory — the memory layer absorbs
-// the steady state, and a miss consults the cluster store before the
-// engine pays for a SAT synthesis. A table synthesized by any replica
-// becomes a hit on every replica.
+// RemoteCache is the fleet side of the synthesis cache: the same
+// memory-over-BlobStore tier as the disk cache, with the cache
+// service's HTTP client as its store — the memory layer absorbs the
+// steady state, and a miss consults the cluster store before the engine
+// pays for a SAT synthesis. A table synthesized by any replica becomes
+// a hit on every replica. On top of the shared tier RemoteCache adds
+// only the lease coordination, Keys and PullOwned.
 //
 // Two properties drive the design:
 //
@@ -44,17 +44,11 @@ import (
 // Construct with NewRemoteCache and install via WithCache. Safe for
 // concurrent use.
 type RemoteCache struct {
-	base    string // normalized base URL, no trailing slash
-	inner   SynthCache
-	client  *http.Client
+	*blobTier
+	blobs   *httpBlobStore
 	owner   string
 	ttl     time.Duration
 	maxWait time.Duration
-	obs     RemoteCacheObserver
-
-	// remoteHits counts Gets served by the shared store; folded into
-	// Stats exactly like diskCache.diskHits.
-	remoteHits atomic.Uint64
 }
 
 var _ SynthCache = (*RemoteCache)(nil)
@@ -152,34 +146,18 @@ func NewRemoteCache(baseURL string, inner SynthCache, opts ...RemoteCacheOption)
 	if cfg.ttl < time.Second {
 		cfg.ttl = time.Second
 	}
-	if inner == nil {
-		inner = NewMemoryCache()
-	}
+	blobs := &httpBlobStore{base: strings.TrimRight(u.String(), "/"), client: cfg.client}
 	return &RemoteCache{
-		base:    strings.TrimRight(u.String(), "/"),
-		inner:   inner,
-		client:  cfg.client,
-		owner:   cfg.owner,
-		ttl:     cfg.ttl,
-		maxWait: cfg.maxWait,
-		obs:     cfg.obs,
+		blobTier: newBlobTier(blobs, inner, cfg.obs),
+		blobs:    blobs,
+		owner:    cfg.owner,
+		ttl:      cfg.ttl,
+		maxWait:  cfg.maxWait,
 	}, nil
 }
 
 // Owner returns the replica identity used for synthesis leases.
 func (c *RemoteCache) Owner() string { return c.owner }
-
-func (c *RemoteCache) setOnEvict(fn func(SynthKey)) {
-	if en, ok := c.inner.(evictNotifier); ok {
-		en.setOnEvict(fn)
-	}
-}
-
-func (c *RemoteCache) observeOp(op, outcome string, elapsed time.Duration) {
-	if c.obs != nil {
-		c.obs.RemoteCacheOp(op, outcome, elapsed)
-	}
-}
 
 func (c *RemoteCache) observeDegraded() {
 	if c.obs != nil {
@@ -187,211 +165,13 @@ func (c *RemoteCache) observeDegraded() {
 	}
 }
 
-func (c *RemoteCache) cacheURL(name string) string { return c.base + "/cache/" + name }
-func (c *RemoteCache) leaseURL(name string) string { return c.base + "/lease/" + name }
-
-// Get consults the memory layer, then the shared store. Any remote
-// failure — including a record that fails to decode, which is deleted
-// best-effort so the next Put heals it — is a miss.
-func (c *RemoteCache) Get(key SynthKey) (CachedSynthesis, bool) {
-	if val, ok := c.inner.Get(key); ok {
-		return val, true
-	}
-	name := cacheKeyName(key)
-	if name == "" {
-		return CachedSynthesis{}, false
-	}
-	val, ok := c.fetch(context.Background(), name, key)
-	if !ok {
-		return CachedSynthesis{}, false
-	}
-	c.remoteHits.Add(1)
-	c.inner.Put(key, val)
-	return val, true
-}
-
-// fetch retrieves and decodes one record from the shared store. It does
-// not touch the memory layer or the hit counters — Get and the lease
-// wait loop layer their own bookkeeping on top.
-func (c *RemoteCache) fetch(ctx context.Context, name string, key SynthKey) (CachedSynthesis, bool) {
-	start := time.Now()
-	ctx, sp := StartSpan(ctx, "remote.get")
-	sp.SetAttr("blob", name)
-	// done settles both telemetry layers in one place: the aggregate
-	// RemoteCacheOp counter and the span's outcome attribute.
-	done := func(outcome string) {
-		c.observeOp("get", outcome, time.Since(start))
-		sp.SetAttr("outcome", outcome)
-		sp.End()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cacheURL(name), nil)
-	if err != nil {
-		done("error")
-		return CachedSynthesis{}, false
-	}
-	injectTraceparent(ctx, req.Header)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		done("error")
-		return CachedSynthesis{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		done("miss")
-		return CachedSynthesis{}, false
-	}
-	if resp.StatusCode != http.StatusOK {
-		done("error")
-		return CachedSynthesis{}, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBlobBytes+1))
-	if err != nil || int64(len(data)) > DefaultMaxBlobBytes {
-		done("error")
-		return CachedSynthesis{}, false
-	}
-	val, err := decodeDiskRecord(data, key)
-	if err != nil {
-		// Corrupt or mismatched: a miss locally, and the record is
-		// removed best-effort so the cluster heals on the next Put
-		// instead of serving the same poison to every replica.
-		done("corrupt")
-		c.deleteRemote(name)
-		return CachedSynthesis{}, false
-	}
-	done("hit")
-	return val, true
-}
-
-// Contains probes the memory layer, then HEADs the shared store.
-func (c *RemoteCache) Contains(key SynthKey) bool {
-	if c.inner.Contains(key) {
-		return true
-	}
-	name := cacheKeyName(key)
-	if name == "" {
-		return false
-	}
-	start := time.Now()
-	req, err := http.NewRequest(http.MethodHead, c.cacheURL(name), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observeOp("head", "error", time.Since(start))
-		return false
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		c.observeOp("head", "hit", time.Since(start))
-		return true
-	}
-	c.observeOp("head", "miss", time.Since(start))
-	return false
-}
-
-// Put stores into both layers. The remote write is best-effort and
-// synchronous: by the time the engine retires a singleflight slot (and
-// releases the key's cluster lease) the record is visible to the
-// replicas polling for it. A failed remote write leaves the memory
-// entry intact — the table is just not shared.
-func (c *RemoteCache) Put(key SynthKey, val CachedSynthesis) {
-	c.inner.Put(key, val)
-	data, ok := encodeCacheRecord(key, val)
-	if !ok {
-		return // process-local failures are not shared
-	}
-	name := cacheKeyName(key)
-	if name == "" {
-		return
-	}
-	start := time.Now()
-	req, err := http.NewRequest(http.MethodPut, c.cacheURL(name), bytes.NewReader(data))
-	if err != nil {
-		c.observeOp("put", "error", time.Since(start))
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observeOp("put", "error", time.Since(start))
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		c.observeOp("put", "error", time.Since(start))
-		return
-	}
-	c.observeOp("put", "stored", time.Since(start))
-}
-
-// Evict removes from both layers.
-func (c *RemoteCache) Evict(key SynthKey) bool {
-	removed := c.inner.Evict(key)
-	if name := cacheKeyName(key); name != "" {
-		if c.deleteRemote(name) {
-			removed = true
-		}
-	}
-	return removed
-}
-
-func (c *RemoteCache) deleteRemote(name string) bool {
-	start := time.Now()
-	req, err := http.NewRequest(http.MethodDelete, c.cacheURL(name), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observeOp("delete", "error", time.Since(start))
-		return false
-	}
-	resp.Body.Close()
-	c.observeOp("delete", "ok", time.Since(start))
-	return resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK
-}
-
-// Reset clears the memory layer only: the shared store is the fleet's
-// catalogue, not this process's to clear. Evict individual keys (or
-// administer the cache service directly) to remove shared records.
-func (c *RemoteCache) Reset() int {
-	n := c.inner.Reset()
-	c.remoteHits.Store(0)
-	return n
-}
-
-// Stats reports the two layers as one, with the same fold as diskCache:
-// lookups served by the shared store count as Hits rather than Misses.
-func (c *RemoteCache) Stats() CacheStats {
-	s := c.inner.Stats()
-	h := c.remoteHits.Load()
-	s.Hits += h
-	if s.Misses >= h {
-		s.Misses -= h
-	} else {
-		s.Misses = 0
-	}
-	return s
-}
+func (c *RemoteCache) leaseURL(name string) string { return c.blobs.base + "/lease/" + name }
 
 // Keys lists every SynthKey in the shared store (non-canonical names
 // are skipped). This is the discovery half of warm-on-boot.
 func (c *RemoteCache) Keys(ctx context.Context) ([]SynthKey, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/keys", nil)
+	names, err := c.blobs.keys(ctx)
 	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("lclgrid: remote cache key listing: %s", resp.Status)
-	}
-	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
 		return nil, err
 	}
 	keys := make([]SynthKey, 0, len(names))
@@ -427,13 +207,10 @@ func (c *RemoteCache) PullOwned(ctx context.Context, owns func(SynthKey) bool) (
 			loaded++
 			continue
 		}
-		name := cacheKeyName(key)
-		if name == "" {
-			continue
-		}
-		if val, ok := c.fetch(ctx, name, key); ok {
-			c.inner.Put(key, val)
-			loaded++
+		if name := cacheKeyName(key); name != "" {
+			if _, ok := c.promote(ctx, name, key); ok {
+				loaded++
+			}
 		}
 	}
 	return loaded, nil
@@ -496,9 +273,9 @@ func (c *RemoteCache) coordinate(ctx context.Context, key SynthKey) (CachedSynth
 			// may predate another replica's publish-and-release, in which
 			// case we were granted a lease for work already done.
 			release := c.startLease(name)
-			if val, ok := c.fetch(ctx, name, key); ok {
+			if val, ok := c.load(ctx, name, key); ok {
 				release()
-				c.observeOp("wait", "served", time.Since(waitStart))
+				c.observe("wait", "served", waitStart)
 				return val, true, nil
 			}
 			return CachedSynthesis{}, false, release
@@ -506,12 +283,12 @@ func (c *RemoteCache) coordinate(ctx context.Context, key SynthKey) (CachedSynth
 		// Another replica is synthesizing. Poll for its result; if its
 		// lease lapses (crash mid-synthesis), the next acquire above
 		// takes the key over.
-		if val, ok := c.fetch(ctx, name, key); ok {
-			c.observeOp("wait", "served", time.Since(waitStart))
+		if val, ok := c.load(ctx, name, key); ok {
+			c.observe("wait", "served", waitStart)
 			return val, true, nil
 		}
 		if c.maxWait <= 0 || time.Now().After(deadline) || ctx.Err() != nil {
-			c.observeOp("wait", "expired", time.Since(waitStart))
+			c.observe("wait", "expired", waitStart)
 			c.observeDegraded()
 			return CachedSynthesis{}, false, nil
 		}
@@ -523,7 +300,7 @@ func (c *RemoteCache) coordinate(ctx context.Context, key SynthKey) (CachedSynth
 		}
 		select {
 		case <-ctx.Done():
-			c.observeOp("wait", "expired", time.Since(waitStart))
+			c.observe("wait", "expired", waitStart)
 			c.observeDegraded()
 			return CachedSynthesis{}, false, nil
 		case <-time.After(sleep):
@@ -538,7 +315,7 @@ func (c *RemoteCache) acquireLease(ctx context.Context, name string) (granted bo
 	ctx, sp := StartSpan(ctx, "lease.acquire")
 	sp.SetAttr("lease", name)
 	done := func(outcome string) {
-		c.observeOp("lease", outcome, time.Since(start))
+		c.observe("lease", outcome, start)
 		sp.SetAttr("outcome", outcome)
 		sp.End()
 	}
@@ -550,7 +327,7 @@ func (c *RemoteCache) acquireLease(ctx context.Context, name string) (granted bo
 		return false, 0, err
 	}
 	injectTraceparent(ctx, req.Header)
-	resp, err := c.client.Do(req)
+	resp, err := c.blobs.client.Do(req)
 	if err != nil {
 		sp.SetError(err)
 		done("error")
@@ -600,28 +377,131 @@ func (c *RemoteCache) startLease(name string) func() {
 	}
 }
 
+// heartbeatLease is best-effort: a lapsed lease costs only duplicated
+// work.
 func (c *RemoteCache) heartbeatLease(name string) {
 	u := fmt.Sprintf("%s?owner=%s&ttl=%s", c.leaseURL(name), url.QueryEscape(c.owner), c.ttl)
-	req, err := http.NewRequest(http.MethodPut, u, nil)
-	if err != nil {
-		return
+	if resp, _, err := c.blobs.do(context.Background(), http.MethodPut, u, nil); err == nil {
+		resp.Body.Close()
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return // best-effort; the lease may lapse, costing only duplicated work
-	}
-	resp.Body.Close()
 }
 
 func (c *RemoteCache) releaseLease(name string) {
 	u := c.leaseURL(name) + "?owner=" + url.QueryEscape(c.owner)
-	req, err := http.NewRequest(http.MethodDelete, u, nil)
-	if err != nil {
-		return
+	if resp, _, err := c.blobs.do(context.Background(), http.MethodDelete, u, nil); err == nil {
+		resp.Body.Close()
 	}
-	resp, err := c.client.Do(req)
+}
+
+// --- The cache service's blob client ------------------------------------------
+
+// httpBlobStore is the BlobStore client of a CacheServer's blob
+// protocol: the store under the fleet tier. Requests carry the caller's
+// trace when it has one.
+type httpBlobStore struct {
+	base   string // normalized base URL, no trailing slash
+	client *http.Client
+}
+
+func (s *httpBlobStore) url(name string) string { return s.base + "/cache/" + name }
+
+// do issues one cache-service request and maps its status: 2xx found,
+// 404 absent, anything else an error. The caller owns resp.Body.
+func (s *httpBlobStore) do(ctx context.Context, method, u string, body []byte) (resp *http.Response, found bool, err error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
-		return
+		return nil, false, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	injectTraceparent(ctx, req.Header)
+	resp, err = s.client.Do(req)
+	if err != nil {
+		return nil, false, err
+	}
+	switch {
+	case resp.StatusCode/100 == 2:
+		return resp, true, nil
+	case resp.StatusCode == http.StatusNotFound:
+		return resp, false, nil
 	}
 	resp.Body.Close()
+	return nil, false, fmt.Errorf("lclgrid: cache service %s %s: %s", method, u, resp.Status)
+}
+
+func (s *httpBlobStore) Get(name string) ([]byte, bool, error) {
+	return s.getContext(context.Background(), name)
+}
+
+func (s *httpBlobStore) getContext(ctx context.Context, name string) ([]byte, bool, error) {
+	resp, found, err := s.do(ctx, http.MethodGet, s.url(name), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	if !found {
+		return nil, false, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBlobBytes+1))
+	if err == nil && int64(len(data)) > DefaultMaxBlobBytes {
+		err = fmt.Errorf("lclgrid: cache record %s exceeds %d bytes", name, DefaultMaxBlobBytes)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return data, true, nil
+}
+
+// has answers with a HEAD: the probe never transfers the record.
+func (s *httpBlobStore) has(name string) (bool, error) {
+	resp, found, err := s.do(context.Background(), http.MethodHead, s.url(name), nil)
+	if err != nil {
+		return false, err
+	}
+	resp.Body.Close()
+	return found, nil
+}
+
+func (s *httpBlobStore) Put(name string, data []byte) error {
+	resp, found, err := s.do(context.Background(), http.MethodPut, s.url(name), data)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if !found {
+		return fmt.Errorf("lclgrid: cache service PUT %s: %s", name, resp.Status)
+	}
+	return nil
+}
+
+func (s *httpBlobStore) Delete(name string) (bool, error) {
+	resp, found, err := s.do(context.Background(), http.MethodDelete, s.url(name), nil)
+	if err != nil {
+		return false, err
+	}
+	resp.Body.Close()
+	return found, nil
+}
+
+func (s *httpBlobStore) Keys() ([]string, error) { return s.keys(context.Background()) }
+
+func (s *httpBlobStore) keys(ctx context.Context) ([]string, error) {
+	resp, found, err := s.do(ctx, http.MethodGet, s.base+"/keys", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if !found {
+		return nil, fmt.Errorf("lclgrid: remote cache key listing: %s", resp.Status)
+	}
+	var names []string
+	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
+		return nil, err
+	}
+	return names, nil
 }

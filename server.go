@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,7 +44,8 @@ import (
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus text exposition (see MetricsObserver)
 //
-// Production behaviours, configured with the Server options:
+// Production behaviours, configured with the Server options (the
+// plumbing is shared with Gateway and CacheServer):
 //
 //   - Admission control: WithMaxInflight bounds the solve/batch requests
 //     executing at once; excess requests are rejected immediately with
@@ -55,7 +55,9 @@ import (
 //   - Timeouts: WithRequestTimeout derives a deadline for each solve
 //     (and each batch stream) from the request's own context, so a hung
 //     SAT search cannot pin a connection forever — cancellation reaches
-//     the CDCL loop through the engine's context plumbing.
+//     the CDCL loop through the engine's context plumbing. The same
+//     deadline bounds reading the request body, so a client that stalls
+//     mid-document is answered 400 instead of holding its slot.
 //   - Body limits: WithMaxBodyBytes caps request bodies; an oversized
 //     solve document is rejected with 413 before it is decoded.
 //   - Graceful shutdown: Serve drains in-flight requests when its
@@ -66,34 +68,20 @@ import (
 // A Server is an http.Handler; callers that want their own listener,
 // TLS, or middleware can mount it directly and skip Serve.
 type Server struct {
-	engine  *Engine
-	metrics *MetricsObserver
-	mux     *http.ServeMux
-
-	inflight chan struct{} // nil = unbounded admission
-	timeout  time.Duration
-	maxBody  int64
+	*frontend
+	engine   *Engine
 	workers  int
-	drain    time.Duration
-	ready    func() error // nil = always ready
 	problems ProblemStore
-	traces   *TraceBuffer // nil = tracing off
 }
 
 // ServerOption configures NewServer.
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	metrics     *MetricsObserver
-	maxInflight int
-	timeout     time.Duration
-	maxBody     int64
-	workers     int
-	drain       time.Duration
-	ready       func() error
-	cacheSvc    *CacheServer
-	problems    ProblemStore
-	traces      *TraceBuffer
+	frontendConfig
+	workers  int
+	cacheSvc *CacheServer
+	problems ProblemStore
 }
 
 // Server defaults. They favour a service exposed to real traffic: a
@@ -197,59 +185,35 @@ func WithMetricsObserver(m *MetricsObserver) ServerOption {
 
 // NewServer mounts the engine's endpoints on a new Server.
 func NewServer(e *Engine, opts ...ServerOption) *Server {
-	cfg := serverConfig{
+	cfg := serverConfig{frontendConfig: frontendConfig{
 		maxInflight: DefaultMaxInflight,
 		timeout:     DefaultRequestTimeout,
 		maxBody:     DefaultMaxBodyBytes,
-		drain:       DefaultDrainTimeout,
-	}
+	}}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.metrics == nil {
-		cfg.metrics = NewMetricsObserver()
-	}
-	if cfg.drain <= 0 {
-		cfg.drain = DefaultDrainTimeout
 	}
 	if cfg.problems == nil {
 		cfg.problems = NewMemoryProblemStore()
 	}
 	s := &Server{
+		frontend: newFrontend("serve", cfg.frontendConfig, nil),
 		engine:   e,
-		metrics:  cfg.metrics,
-		mux:      http.NewServeMux(),
-		timeout:  cfg.timeout,
-		maxBody:  cfg.maxBody,
 		workers:  cfg.workers,
-		drain:    cfg.drain,
-		ready:    cfg.ready,
 		problems: cfg.problems,
-		traces:   cfg.traces,
 	}
 	// The cache-entries gauge reads the live engine state at scrape time.
-	cfg.metrics.SetCacheEntriesFunc(func() int { return e.CacheStats().Entries })
-	if cfg.maxInflight > 0 {
-		s.inflight = make(chan struct{}, cfg.maxInflight)
-	}
-	s.mux.Handle("POST /v1/solve", s.instrument("/v1/solve", s.admit(s.handleSolve)))
-	s.mux.Handle("POST /v1/batch", s.instrument("/v1/batch", s.admit(s.handleBatch)))
-	s.mux.Handle("POST /v1/labels", s.instrument("/v1/labels", s.admit(s.handleLabels)))
-	s.mux.Handle("POST /v1/export", s.instrument("/v1/export", s.admit(s.handleExport)))
-	s.mux.Handle("POST /v1/explain", s.instrument("/v1/explain", http.HandlerFunc(s.handleExplain)))
-	s.mux.Handle("GET /v1/problems", s.instrument("/v1/problems", http.HandlerFunc(s.handleProblems)))
-	s.mux.Handle("POST /v1/problems", s.instrument("/v1/problems", http.HandlerFunc(s.handleDefineProblem)))
-	s.mux.Handle("GET /v1/problems/{key}", s.instrument("/v1/problems/{key}", http.HandlerFunc(s.handleProblemGet)))
-	s.mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
-	s.mux.Handle("GET /readyz", s.instrument("/readyz", http.HandlerFunc(s.handleReadyz)))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
+	s.metrics.SetCacheEntriesFunc(func() int { return e.CacheStats().Entries })
+	s.route("POST /v1/solve", true, s.handleSolve)
+	s.route("POST /v1/batch", true, s.handleBatch)
+	s.route("POST /v1/labels", true, s.handleLabels)
+	s.route("POST /v1/export", true, s.handleExport)
+	s.route("POST /v1/explain", false, s.handleExplain)
+	s.route("GET /v1/problems", false, s.handleProblems)
+	s.route("POST /v1/problems", false, s.handleDefineProblem)
+	s.route("GET /v1/problems/{key}", false, s.handleProblemGet)
 	if cfg.cacheSvc != nil {
 		s.mux.Handle("/v1/cache/", http.StripPrefix("/v1/cache", cfg.cacheSvc))
-	}
-	if cfg.traces != nil {
-		// Mounted raw — the trace inspector must not disturb the
-		// request-metrics series it exists to explain.
-		s.mux.Handle("GET /debug/traces", cfg.traces.Handler())
 	}
 	return s
 }
@@ -261,11 +225,6 @@ func (s *Server) Engine() *Engine { return s.engine }
 // WithMetricsObserver, or the private one created without it).
 func (s *Server) Metrics() *MetricsObserver { return s.metrics }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
 // Serve accepts connections on l until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight requests (streaming batches
 // included) run to completion, and only when WithDrainTimeout expires
@@ -275,165 +234,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // listener's error if accepting fails, or a drain error naming the
 // timeout when requests had to be cut off.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		// The drain window closed with requests still running: force the
-		// connections shut. Their request contexts cancel, the engine's
-		// context plumbing aborts the solver work, and the handler
-		// goroutines unwind.
-		hs.Close()
-		<-serveErr
-		return fmt.Errorf("lclgrid: drain window %v expired with requests still in flight: %w", s.drain, err)
-	}
-	<-serveErr // hs.Serve has returned http.ErrServerClosed
-	return nil
-}
-
-// --- middleware -------------------------------------------------------------
-
-// instrument records the HTTP-level metrics for one route: in-flight
-// gauge, per-path/status counters and the handler latency histogram.
-// With tracing enabled it also roots the request's trace here — joining
-// the caller's via traceparent, echoing X-Trace-Id, and depositing the
-// finished trace (status attribute included) into the buffer. Only the
-// /v1/ work endpoints trace: liveness/readiness probes and metric
-// scrapes are high-frequency noise that would evict the traces worth
-// keeping.
-func (s *Server) instrument(path string, next http.Handler) http.Handler {
-	traced := strings.HasPrefix(path, "/v1/")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.httpStart()
-		sw := &statusWriter{ResponseWriter: w}
-		if s.traces != nil && traced {
-			tr := traceForRequest("serve", path, r)
-			sw.Header().Set(TraceIDHeader, tr.ID())
-			r = r.WithContext(ContextWithSpan(r.Context(), tr.Root()))
-			defer func() {
-				tr.Root().SetAttr("status", strconv.Itoa(sw.status()))
-				tr.Finish(s.traces)
-			}()
-		}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		s.metrics.httpEnd(path, sw.status(), time.Since(start))
-	})
-}
-
-// admit gates a handler behind the in-flight admission bound. A request
-// that cannot take a slot immediately is rejected with 429 and
-// Retry-After — shedding load beats queueing it unboundedly, and the
-// client's backoff is the queue.
-func (s *Server) admit(next http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				s.metrics.httpRejected()
-				w.Header().Set("Retry-After", "1")
-				httpError(w, r, http.StatusTooManyRequests,
-					errors.New("lclgrid: server at capacity (max in-flight solves reached); retry after backoff"))
-				return
-			}
-		}
-		next(w, r)
-	})
-}
-
-// statusWriter captures the response status for the metrics middleware.
-// It forwards Flush (the batch endpoint streams) and exposes Unwrap for
-// http.NewResponseController.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
-}
-
-func (sw *statusWriter) status() int {
-	if sw.code == 0 {
-		return http.StatusOK
-	}
-	return sw.code
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// Flush implements http.Flusher for the streaming batch endpoint.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+	return s.serve(ctx, l)
 }
 
 // --- handlers ---------------------------------------------------------------
-
-// errorBody is the JSON error document every non-2xx response carries.
-// The trace id (present when the request is traced) lets a client quote
-// the exact failing request — 429/413/504 rejections included — in a
-// bug report an operator can look up in /debug/traces.
-type errorBody struct {
-	Error   string `json:"error"`
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// httpError writes a JSON error document with the given status,
-// stamping the request's trace id when it has one.
-func httpError(w http.ResponseWriter, r *http.Request, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	body := errorBody{Error: err.Error()}
-	if r != nil {
-		body.TraceID = TraceIDFromContext(r.Context())
-	}
-	_ = json.NewEncoder(w).Encode(body)
-}
 
 // decodeDocument reads a single JSON document of any wire type from the
 // request body, writing the HTTP error itself when the document is
 // oversized, malformed, or trailed by more input.
 func (s *Server) decodeDocument(w http.ResponseWriter, r *http.Request, dst any) bool {
-	s.limitBodyRead(w)
-	body := io.Reader(r.Body)
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(s.body(w, r))
 	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("lclgrid: request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, r, http.StatusBadRequest, fmt.Errorf("lclgrid: bad request document: %w", err))
-		}
+		bodyError(w, r, fmt.Errorf("lclgrid: bad request document: %w", err))
 		return false
 	}
 	if dec.More() {
@@ -456,27 +268,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (SolveReq
 		return req, false
 	}
 	return req, true
-}
-
-// solveCtx derives the per-request solve context from the connection's.
-func (s *Server) solveCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout > 0 {
-		return context.WithTimeout(r.Context(), s.timeout)
-	}
-	return context.WithCancel(r.Context())
-}
-
-// limitBodyRead puts the request timeout on the connection's read side.
-// Body reads do not observe the request context, so without this a
-// client that sends half a JSON document and stalls would park the
-// handler in Decode indefinitely — holding an admission slot and
-// defeating -max-inflight (the slowloris the admission bound exists to
-// survive). Best-effort: a transport without deadline support just
-// keeps the context-level timeout.
-func (s *Server) limitBodyRead(w http.ResponseWriter) {
-	if s.timeout > 0 {
-		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.timeout))
-	}
 }
 
 // errStatus maps a Solve error to its HTTP status: request-shaped
@@ -514,7 +305,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := s.solveCtx(r)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	res, err := s.engine.Solve(ctx, req)
 	if err != nil {
@@ -569,12 +360,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// producer fails the in-stream Decode (emitting the terminal error
 	// line below) instead of parking the handler past the batch
 	// deadline with an admission slot held.
-	s.limitBodyRead(w)
-	body := io.Reader(r.Body)
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	ctx, cancel := s.solveCtx(r)
+	body := s.body(w, r)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
 	// Index→key echo map; only in-flight indexes are resident, mirroring
@@ -744,7 +531,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := s.solveCtx(r)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	res, err := s.engine.LabelWindow(ctx, req)
 	if err != nil {
@@ -784,7 +571,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.solveCtx(r)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	rc := http.NewResponseController(w)
 
@@ -838,13 +625,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(exportLine{Done: true, Bands: bands, Nodes: nodes})
 		_ = rc.Flush()
 	}
-}
-
-// headerWritten reports whether the response status is already on the
-// wire (the instrument middleware's statusWriter tracks it).
-func headerWritten(w http.ResponseWriter) bool {
-	sw, ok := w.(*statusWriter)
-	return ok && sw.code != 0
 }
 
 // problemEntry is one /v1/problems catalogue record.
@@ -1001,33 +781,4 @@ func (s *Server) handleProblemGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(buf.Bytes())
-}
-
-// handleHealthz serves GET /healthz: pure liveness — the process is up
-// and handling HTTP. Readiness (warm enough to take traffic) is the
-// separate /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-}
-
-// handleReadyz serves GET /readyz: 200 once the WithReadyCheck probe
-// passes (or none is installed), 503 with the probe's error until then.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.ready != nil {
-		if err := s.ready(); err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(map[string]string{"status": "unready", "error": err.Error()})
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-}
-
-// handleMetrics serves GET /metrics in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WritePrometheus(w)
 }
