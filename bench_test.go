@@ -373,6 +373,31 @@ func BenchmarkLabelWindowWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkLabelWindowHuge is BenchmarkLabelWindowWarm on a 10^12-node
+// torus (10^6×10^6), the largest size /v1/labels windows are drawn
+// from: the rung where deriving the Linial schedule per evaluator
+// would dominate if it cost more than microseconds.
+func BenchmarkLabelWindowHuge(b *testing.B) {
+	ctx := context.Background()
+	eng := lclgrid.NewEngine()
+	req := lclgrid.LabelRequest{
+		Key: "mis", Sides: []int{1_000_000, 1_000_000}, Seed: 7,
+		X: 999_998, Y: 420_000, W: 8, H: 6,
+	}
+	if _, err := eng.LabelWindow(ctx, req); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.LabelWindow(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if stats := eng.CacheStats(); stats.Misses != 1 {
+		b.Fatalf("warm benchmark synthesized %d times", stats.Misses)
+	}
+}
+
 // BenchmarkExportGrid measures streaming whole-grid export throughput
 // (bounded memory, evaluator reset between bands) on a 100×100 torus.
 func BenchmarkExportGrid(b *testing.B) {

@@ -76,6 +76,60 @@ func batchLines(t *testing.T, base, body, query string) []string {
 	return lines
 }
 
+// TestBatchAnswersEveryLine posts JSONL bodies well past the HTTP/1
+// server's read buffer to serve and to a two-shard gateway: every line
+// must come back answered, with no terminal error. A batch handler
+// streams results while it still reads the body, which only works with
+// full-duplex HTTP/1 (otherwise the first flushed response bytes close
+// the unread body, cutting a large batch off after a few hundred lines).
+func TestBatchAnswersEveryLine(t *testing.T) {
+	serveBase, _ := startServer(t, NewServer(NewEngine()))
+	shardA, _ := startServer(t, NewServer(NewEngine()))
+	shardB, _ := startServer(t, NewServer(NewEngine()))
+	gw, err := NewGateway([]string{shardA, shardB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwBase := startGateway(t, gw)
+
+	for _, target := range []struct{ name, base string }{{"serve", serveBase}, {"gateway", gwBase}} {
+		for _, lines := range []int{1, 100, 400, 10_000} {
+			t.Run(fmt.Sprintf("%s/%d", target.name, lines), func(t *testing.T) {
+				var body strings.Builder
+				for i := 0; i < lines; i++ {
+					if i%2 == 0 {
+						body.WriteString(`{"key":"is","n":4}` + "\n")
+					} else {
+						body.WriteString(`{"key":"orient2","n":4}` + "\n")
+					}
+				}
+				got := batchLines(t, target.base, body.String(), "")
+				seen := make([]bool, lines)
+				for n, raw := range got {
+					var line struct {
+						Index  *int            `json:"index"`
+						Result json.RawMessage `json:"result"`
+						Error  string          `json:"error"`
+					}
+					if err := json.Unmarshal([]byte(raw), &line); err != nil {
+						t.Fatalf("bad line %s: %v", raw, err)
+					}
+					if line.Index == nil || line.Error != "" || len(line.Result) == 0 {
+						t.Fatalf("unanswered or failed line after %d answers: %s", n, raw)
+					}
+					if *line.Index < 0 || *line.Index >= lines || seen[*line.Index] {
+						t.Fatalf("bad or repeated index %d", *line.Index)
+					}
+					seen[*line.Index] = true
+				}
+				if len(got) != lines {
+					t.Fatalf("%d lines answered, want %d", len(got), lines)
+				}
+			})
+		}
+	}
+}
+
 // TestGatewayBatchMatchesSingleServer is the fan-out fidelity check: a
 // two-shard gateway batch must produce the same JSONL content as one
 // server solving the whole document — the same set of lines in

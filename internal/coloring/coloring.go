@@ -118,6 +118,16 @@ func freeColor3(a, b int) int {
 // (so a good evaluation point exists) and q^(d+1) >= m (so every colour
 // fits in d+1 base-q digits). The iterated fixpoint is at most
 // NextPrime(2·maxDeg)², i.e. O(Δ²) colours.
+//
+// For each d the candidate is the smallest prime q > maxDeg·d with
+// q^(d+1) >= m. The search starts at max(maxDeg·d, r−1), where
+// r = intRoot(m, d+1) is the smallest integer with r^(d+1) >= m: since
+// q^(d+1) >= m exactly when q >= r, the candidate is the first prime
+// above that start, NextPrime(max(maxDeg·d, r−1)). That is the prime a
+// walk up the primes from maxDeg·d stops at, and the loop bound, the
+// tie rule (the smaller d keeps a tie) and the stopping rule are the
+// walk's, so every (d, q) is the same. Only the cost changes: one
+// prime gap instead of every prime below m^(1/(d+1)).
 func linialParams(m, maxDeg int) (d, q int) {
 	if maxDeg < 1 {
 		maxDeg = 1
@@ -127,10 +137,7 @@ func linialParams(m, maxDeg int) (d, q int) {
 		if bestQ > 0 && maxDeg*dd >= bestQ {
 			break // larger d cannot beat the current best q
 		}
-		qq := logstar.NextPrime(maxDeg * dd)
-		for !powAtLeast(qq, dd+1, m) {
-			qq = logstar.NextPrime(qq)
-		}
+		qq := logstar.NextPrime(max(maxDeg*dd, intRoot(m, dd+1)-1))
 		if bestQ == 0 || qq < bestQ {
 			bestD, bestQ = dd, qq
 		}
@@ -138,14 +145,31 @@ func linialParams(m, maxDeg int) (d, q int) {
 	return bestD, bestQ
 }
 
-// powAtLeast reports whether q^e >= m, without overflow.
+// intRoot returns the smallest integer r >= 1 with r^e >= m, i.e.
+// ⌈m^(1/e)⌉ for m >= 1, by bisection in integers (a float root can be
+// off by one near perfect powers).
+func intRoot(m, e int) int {
+	lo, hi := 1, max(m, 1)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if powAtLeast(mid, e, m) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// powAtLeast reports whether q^e >= m for q >= 1, without overflow: the
+// product is only formed while it stays below m.
 func powAtLeast(q, e, m int) bool {
 	p := 1
 	for i := 0; i < e; i++ {
-		p *= q
-		if p >= m {
-			return true
+		if p > (m-1)/q {
+			return true // p·q > m−1
 		}
+		p *= q
 	}
 	return p >= m
 }
@@ -171,7 +195,7 @@ func LinialColor(g local.Graph, ids []int, idSpace int, r *local.Rounds) ([]int,
 			// No further progress possible.
 			break
 		}
-		colors = linialStep(g, colors, d, q)
+		colors = linialStep(g, colors, maxDeg, d, q)
 		m = q * q
 		rounds++
 	}
@@ -181,36 +205,23 @@ func LinialColor(g local.Graph, ids []int, idSpace int, r *local.Rounds) ([]int,
 	return colors, m
 }
 
-// linialStep performs one colour-reduction round: every node interprets
-// its colour as a polynomial of degree <= d over F_q and picks the
-// smallest evaluation point x on which it differs from all neighbours,
-// producing the new colour x*q + p(x).
-func linialStep(g local.Graph, colors []int, d, q int) []int {
+// linialStep performs one colour-reduction round: every node makes its
+// LinialChooser choice from its own and its neighbours' colours.
+func linialStep(g local.Graph, colors []int, maxDeg, d, q int) []int {
 	n := g.N()
 	next := make([]int, n)
-	digitsBuf := make([]int, d+1)
-	nbrDigits := make([]int, d+1)
+	var lc LinialChooser
+	nbrs := make([]int, 0, maxDeg)
 	for v := 0; v < n; v++ {
-		toDigits(colors[v], q, digitsBuf)
-		deg := g.Degree(v)
-		chosen := -1
-	candidates:
-		for x := 0; x < q; x++ {
-			pv := evalPoly(digitsBuf, x, q)
-			for i := 0; i < deg; i++ {
-				u := g.Neighbor(v, i)
-				toDigits(colors[u], q, nbrDigits)
-				if evalPoly(nbrDigits, x, q) == pv {
-					continue candidates
-				}
-			}
-			chosen = x*q + pv
-			break
+		nbrs = nbrs[:0]
+		for i := 0; i < g.Degree(v); i++ {
+			nbrs = append(nbrs, colors[g.Neighbor(v, i)])
 		}
-		if chosen < 0 {
+		c := lc.Choose(colors[v], nbrs, d, q)
+		if c < 0 {
 			panic(fmt.Sprintf("coloring: no good evaluation point at node %d (q=%d, d=%d)", v, q, d))
 		}
-		next[v] = chosen
+		next[v] = c
 	}
 	return next
 }
@@ -256,24 +267,41 @@ func LinialSchedule(idSpace, maxDeg int) (params [][2]int, finalColors int) {
 	}
 }
 
-// LinialChoose performs a single node's colour choice of one Linial
-// reduction step, given its own colour and its neighbours' colours in
-// the pre-step colour space: the smallest evaluation point x on which
-// the node's polynomial differs from every neighbour's, encoded as
-// x*q + p(x). It is the per-node body of linialStep, exposed so
-// windowed evaluation computes the exact colour linialStep would.
-// Returns -1 when no evaluation point separates the node, which cannot
-// happen for a proper colouring with q > maxDeg·d.
-func LinialChoose(own int, nbrs []int, d, q int) int {
-	digitsBuf := make([]int, d+1)
-	nbrDigits := make([]int, d+1)
-	toDigits(own, q, digitsBuf)
+// LinialChooser performs single nodes' colour choices of Linial
+// reduction steps. Choose takes the node's own colour and its
+// neighbours' colours in the pre-step colour space and returns the
+// smallest evaluation point x on which the node's polynomial differs
+// from every neighbour's, encoded as x*q + p(x). linialStep makes every
+// node's choice through it, so a windowed evaluator that calls it
+// computes exactly the colour LinialColor does. It returns -1 when no
+// evaluation point separates the node, which cannot happen for a proper
+// colouring with q > maxDeg·d.
+//
+// The zero value is ready to use. A chooser reuses one digit buffer
+// across calls, so it is not safe for concurrent use.
+type LinialChooser struct {
+	digits []int
+}
+
+// Choose returns the node's new colour (see LinialChooser).
+func (lc *LinialChooser) Choose(own int, nbrs []int, d, q int) int {
+	k := d + 1
+	need := (len(nbrs) + 1) * k
+	if cap(lc.digits) < need {
+		lc.digits = make([]int, need)
+	}
+	// Digits are converted once per node: the node's at [0, k), neighbour
+	// i's at [(i+1)k, (i+2)k).
+	digits := lc.digits[:need]
+	toDigits(own, q, digits[:k])
+	for i, c := range nbrs {
+		toDigits(c, q, digits[(i+1)*k:(i+2)*k])
+	}
 candidates:
 	for x := 0; x < q; x++ {
-		pv := evalPoly(digitsBuf, x, q)
-		for _, c := range nbrs {
-			toDigits(c, q, nbrDigits)
-			if evalPoly(nbrDigits, x, q) == pv {
+		pv := evalPoly(digits[:k], x, q)
+		for j := k; j < need; j += k {
+			if evalPoly(digits[j:j+k], x, q) == pv {
 				continue candidates
 			}
 		}

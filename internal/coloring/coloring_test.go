@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"testing"
 
 	"lclgrid/internal/grid"
@@ -263,5 +264,111 @@ func TestIsMISDetectsViolations(t *testing.T) {
 	}
 	if err := IsMIS(g, all); err == nil {
 		t.Error("full set should not be independent")
+	}
+}
+
+// walkLinialParams is the reference search linialParams must agree
+// with: for each d, start at the first prime above maxDeg·d and step up
+// one prime at a time until q^(d+1) >= m.
+func walkLinialParams(m, maxDeg int) (d, q int) {
+	if maxDeg < 1 {
+		maxDeg = 1
+	}
+	atLeast := func(q, e, m int) bool {
+		p := 1
+		for i := 0; i < e; i++ {
+			p *= q
+			if p >= m {
+				return true
+			}
+		}
+		return p >= m
+	}
+	bestD, bestQ := 0, 0
+	for dd := 1; ; dd++ {
+		if bestQ > 0 && maxDeg*dd >= bestQ {
+			break
+		}
+		qq := logstar.NextPrime(maxDeg * dd)
+		for !atLeast(qq, dd+1, m) {
+			qq = logstar.NextPrime(qq)
+		}
+		if bestQ == 0 || qq < bestQ {
+			bestD, bestQ = dd, qq
+		}
+	}
+	return bestD, bestQ
+}
+
+var scheduleDegrees = []int{1, 2, 4, 8, 12, 24, 40}
+
+func TestLinialParamsMatchesPrimeWalk(t *testing.T) {
+	check := func(m, deg int) {
+		t.Helper()
+		d, q := linialParams(m, deg)
+		wd, wq := walkLinialParams(m, deg)
+		if d != wd || q != wq {
+			t.Fatalf("linialParams(%d, %d) = (%d, %d), prime walk gives (%d, %d)", m, deg, d, q, wd, wq)
+		}
+	}
+	for _, deg := range scheduleDegrees {
+		for m := 0; m < 200_000; m++ {
+			check(m, deg)
+		}
+	}
+	// Around prime powers, where the integer root steps.
+	for _, p := range []int{2, 3, 5, 7, 11, 13, 17, 19, 23} {
+		pe := 1
+		for e := 1; e <= 7; e++ {
+			pe *= p
+			for _, m := range []int{pe - 1, pe, pe + 1} {
+				for _, deg := range scheduleDegrees {
+					check(m, deg)
+				}
+			}
+		}
+	}
+}
+
+func TestIntRoot(t *testing.T) {
+	big := 1_000_000_000_000
+	for _, tc := range []struct{ m, e, want int }{
+		{0, 2, 1}, {1, 2, 1}, {2, 2, 2}, {4, 2, 2}, {5, 2, 3},
+		{27, 3, 3}, {28, 3, 4}, {big, 2, 1_000_000}, {big + 1, 2, 1_000_001},
+		{big, 3, 10_000}, {big, 12, 10}, {big + 1, 12, 11}, {1 << 62, 2, 1 << 31},
+	} {
+		if got := intRoot(tc.m, tc.e); got != tc.want {
+			t.Errorf("intRoot(%d, %d) = %d, want %d", tc.m, tc.e, got, tc.want)
+		}
+	}
+}
+
+// TestLinialScheduleGolden pins schedules of the tori /v1/labels serves
+// (10^10 to 10^12 nodes, power-graph degrees 4, 12, 24), as the prime
+// walk produced them.
+func TestLinialScheduleGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n, deg int
+		want   [][2]int
+		final  int
+	}{
+		{1_000_000_000_000, 4, [][2]int{{7, 37}, {2, 13}, {2, 11}}, 121},
+		{1_000_000_000_000, 12, [][2]int{{6, 73}, {2, 29}}, 841},
+		{1_000_000_000_000, 24, [][2]int{{5, 127}, {2, 53}}, 2809},
+		{10_000_000_000, 12, [][2]int{{5, 61}, {2, 29}}, 841},
+	} {
+		got, final := LinialSchedule(tc.n, tc.deg)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || final != tc.final {
+			t.Errorf("LinialSchedule(%d, %d) = %v final %d, want %v final %d", tc.n, tc.deg, got, final, tc.want, tc.final)
+		}
+	}
+}
+
+// BenchmarkLinialSchedule derives the schedule of a 10^12-node torus at
+// power-graph degree 12 (k = 2 under L1): the per-evaluator set-up cost
+// of a /v1/labels window on the largest tori it serves.
+func BenchmarkLinialSchedule(b *testing.B) {
+	for b.Loop() {
+		LinialSchedule(1_000_000_000_000, 12)
 	}
 }

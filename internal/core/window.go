@@ -21,7 +21,7 @@ import (
 //   - each Linial colour-reduction level is a function of the previous
 //     level on the node's k-ball, so colour(level, v) is computable by
 //     bounded recursion (the schedule is replayed with
-//     coloring.LinialSchedule / coloring.LinialChoose, so values agree
+//     coloring.LinialSchedule / coloring.LinialChooser, so values agree
 //     with the full-graph LinialColor exactly);
 //   - MIS membership after the colour-class sweep satisfies
 //     member(v) ⇔ no power-neighbour u with colour(u) < colour(v) is a
@@ -144,8 +144,8 @@ func LatticeModulus(k int) int { return 2*k*k + 2*k + 1 }
 // WindowEvaluator labels rectangles of a torus from a cached Synthesized
 // table with O(window + halo) work and memory. An evaluator is bound to
 // one (algorithm, torus, seed, mode) tuple and is not safe for
-// concurrent use; construction is cheap apart from the one-time Linial
-// schedule derivation (sub-second even for 10^12-node tori).
+// concurrent use; construction is cheap, the Linial schedule included
+// (a few microseconds even for 10^12-node tori).
 type WindowEvaluator struct {
 	alg     *Synthesized
 	t       *grid.Torus
@@ -160,6 +160,12 @@ type WindowEvaluator struct {
 	offs   [][]int  // ball offsets of G^(k) = power-graph neighbourhood
 	levels [][2]int // (d, q) per colour-reduction level
 	finalM int      // final colour-space size
+
+	// Neighbour colours, one len(offs) segment per level: color(l, v)
+	// fills segment l-1 and recurses only into level l-1, so no segment
+	// is ever in use twice at once.
+	nbrBuf  []int
+	chooser coloring.LinialChooser
 
 	colorMemo  []map[int]int // colorMemo[l][v] = colour of v after level l+1
 	memberMemo map[int]int8  // 1 in MIS, 0 not
@@ -201,6 +207,7 @@ func NewWindowEvaluator(alg *Synthesized, t *grid.Torus, seed int64, lattice boo
 	// every node of the power graph has degree len(offs) — the uniform
 	// maxDeg LinialColor derives via local.MaxDegree.
 	e.levels, e.finalM = coloring.LinialSchedule(t.N(), len(e.offs))
+	e.nbrBuf = make([]int, len(e.levels)*len(e.offs))
 	e.Reset()
 	return e, nil
 }
@@ -257,11 +264,11 @@ func (e *WindowEvaluator) color(l, v int) int {
 	}
 	d, q := e.levels[l-1][0], e.levels[l-1][1]
 	own := e.color(l-1, v)
-	nbrs := make([]int, len(e.offs))
+	nbrs := e.nbrBuf[(l-1)*len(e.offs) : l*len(e.offs)]
 	for i, off := range e.offs {
 		nbrs[i] = e.color(l-1, e.t.ShiftVec(v, off))
 	}
-	c := coloring.LinialChoose(own, nbrs, d, q)
+	c := e.chooser.Choose(own, nbrs, d, q)
 	if c < 0 {
 		panic(fmt.Sprintf("core: no Linial evaluation point at node %d (q=%d, d=%d) — colouring not proper", v, q, d))
 	}

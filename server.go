@@ -360,6 +360,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// producer fails the in-stream Decode (emitting the terminal error
 	// line below) instead of parking the handler past the batch
 	// deadline with an admission slot held.
+	//
+	// Result lines are flushed while the body is still being decoded.
+	// An HTTP/1 server closes the unread body at the first flush unless
+	// the request is full-duplex, cutting the batch off mid-document.
+	// The gateway's shard fan-out lands here too. The error is dropped:
+	// HTTP/2 is always full-duplex, and a writer without support (a
+	// test recorder) reads from a body nothing closes.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	body := s.body(w, r)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
