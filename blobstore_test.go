@@ -153,7 +153,7 @@ func TestBlobTierContainsNeverReads(t *testing.T) {
 	for name, open := range conformanceStores(t) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := open(t)
-			tier := newBlobTier(noReads{s, t}, nil, nil)
+			tier := newBlobTier(noReads{s, t}, nil)
 			tier.Put(key, CachedSynthesis{Err: ErrUnsatisfiable})
 			tier.inner.Reset()
 			if !tier.Contains(key) {
@@ -191,7 +191,7 @@ func TestBlobTierEvictDuringLoadDoesNotResurrect(t *testing.T) {
 		entered:      make(chan struct{}),
 		release:      make(chan struct{}),
 	}
-	tier := newBlobTier(store, nil, nil)
+	tier := newBlobTier(store, nil)
 	key := SynthKey{Fingerprint: "00ab", K: 1, H: 3, W: 2}
 	tier.Put(key, CachedSynthesis{Err: ErrUnsatisfiable})
 	tier.inner.Reset() // cold memory, warm store
@@ -227,7 +227,7 @@ func TestBlobTierEvictDuringLoadDoesNotResurrect(t *testing.T) {
 // TestBlobTierPromotesWithoutEvict: the guard above costs nothing when
 // no Evict overlaps — a store hit lands in the memory layer.
 func TestBlobTierPromotesWithoutEvict(t *testing.T) {
-	tier := newBlobTier(NewMemoryBlobStore().(*memoryBlobStore), nil, nil)
+	tier := newBlobTier(NewMemoryBlobStore().(*memoryBlobStore), nil)
 	key := SynthKey{Fingerprint: "00ab", K: 1, H: 3, W: 2}
 	tier.Put(key, CachedSynthesis{Err: ErrUnsatisfiable})
 	tier.inner.Reset()

@@ -106,11 +106,12 @@ type CacheStats struct {
 	Evictions uint64
 }
 
-// evictNotifier is implemented by the built-in caches so the engine can
-// observe capacity evictions (Observer.CacheEvict) without widening the
-// SynthCache interface.
-type evictNotifier interface {
-	setOnEvict(fn func(SynthKey))
+// eventSource is implemented by the built-in caches so the engine's
+// observers see what happens inside them — capacity evictions
+// (EventCacheEvict) and the fleet tier's traffic (EventRemoteOp,
+// EventRemoteDegraded) — without widening the SynthCache interface.
+type eventSource interface {
+	setSink(fn func(Event))
 }
 
 // --- In-memory cache (unbounded and LRU-bounded) ---------------------------
@@ -126,7 +127,7 @@ type lruCache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	onEvict   func(SynthKey) // capacity evictions only, called without mu
+	sink      func(Event) // capacity evictions only, called without mu
 }
 
 type lruEntry struct {
@@ -155,9 +156,9 @@ func newLRU(capacity int) *lruCache {
 	}
 }
 
-func (c *lruCache) setOnEvict(fn func(SynthKey)) {
+func (c *lruCache) setSink(fn func(Event)) {
 	c.mu.Lock()
-	c.onEvict = fn
+	c.sink = fn
 	c.mu.Unlock()
 }
 
@@ -191,7 +192,7 @@ func (c *lruCache) Put(key SynthKey, val CachedSynthesis) {
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
 	var evicted []SynthKey
-	var notify func(SynthKey)
+	var notify func(Event)
 	if c.capacity > 0 {
 		for c.ll.Len() > c.capacity {
 			back := c.ll.Back()
@@ -201,12 +202,12 @@ func (c *lruCache) Put(key SynthKey, val CachedSynthesis) {
 			c.evictions++
 			evicted = append(evicted, ent.key)
 		}
-		notify = c.onEvict
+		notify = c.sink
 	}
 	c.mu.Unlock()
 	if notify != nil {
 		for _, k := range evicted {
-			notify(k)
+			notify(Event{Kind: EventCacheEvict, Key: k})
 		}
 	}
 }
@@ -263,7 +264,9 @@ func (c *lruCache) Stats() CacheStats {
 type blobTier struct {
 	inner SynthCache
 	store tierStore
-	obs   RemoteCacheObserver // nil = store operations unobserved
+	// sink receives store operations as EventRemoteOp. Only the fleet
+	// tier installs one (RemoteCache.setSink); the disk tier is silent.
+	sink atomic.Pointer[func(Event)]
 
 	// mu guards the eviction epoch. A Get that loaded a record promotes
 	// it into memory only if no Evict began or ended while the record
@@ -305,25 +308,27 @@ func NewDiskCache(dir string, inner SynthCache) (SynthCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lclgrid: disk cache: %w", err)
 	}
-	return newBlobTier(&dirBlobStore{dir: dir}, inner, nil), nil
+	return newBlobTier(&dirBlobStore{dir: dir}, inner), nil
 }
 
-func newBlobTier(store tierStore, inner SynthCache, obs RemoteCacheObserver) *blobTier {
+func newBlobTier(store tierStore, inner SynthCache) *blobTier {
 	if inner == nil {
 		inner = NewMemoryCache()
 	}
-	return &blobTier{inner: inner, store: store, obs: obs}
+	return &blobTier{inner: inner, store: store}
 }
 
-func (t *blobTier) setOnEvict(fn func(SynthKey)) {
-	if en, ok := t.inner.(evictNotifier); ok {
-		en.setOnEvict(fn)
+// setSink passes the engine's sink down to the memory layer; the store's
+// own operations stay unreported (see RemoteCache.setSink).
+func (t *blobTier) setSink(fn func(Event)) {
+	if src, ok := t.inner.(eventSource); ok {
+		src.setSink(fn)
 	}
 }
 
 func (t *blobTier) observe(op, outcome string, start time.Time) {
-	if t.obs != nil {
-		t.obs.RemoteCacheOp(op, outcome, time.Since(start))
+	if fn := t.sink.Load(); fn != nil {
+		(*fn)(Event{Kind: EventRemoteOp, Op: op, Outcome: outcome, Elapsed: time.Since(start)})
 	}
 }
 

@@ -177,84 +177,66 @@ func reqLabel(req lclgrid.SolveRequest) string {
 	return name
 }
 
-func (o *slogObserver) RequestStart(req lclgrid.SolveRequest) {
-	o.l.Debug("request start", "req", reqLabel(req))
-}
-
-func (o *slogObserver) RequestEnd(req lclgrid.SolveRequest, res *lclgrid.Result, err error) {
-	if err != nil {
-		o.l.Info("request end", "req", reqLabel(req), "error", err.Error())
-		return
-	}
-	o.l.Debug("request end", "req", reqLabel(req), "solver", res.Solver,
-		"rounds", res.Rounds, "elapsed", res.Elapsed.Round(time.Microsecond).String())
-}
-
-func (o *slogObserver) SynthesisStart(key lclgrid.SynthKey) {
-	o.l.Debug("synthesis start", "key", key.String())
-}
-
-func (o *slogObserver) SynthesisEnd(key lclgrid.SynthKey, elapsed time.Duration, err error) {
-	if err != nil {
-		o.l.Info("synthesis end", "key", key.String(), "elapsed", elapsed.Round(time.Microsecond).String(), "error", err.Error())
-		return
-	}
-	o.l.Debug("synthesis end", "key", key.String(), "elapsed", elapsed.Round(time.Microsecond).String())
-}
-
-func (o *slogObserver) CacheHit(key lclgrid.SynthKey) {
-	o.l.Debug("cache hit", "key", key.String())
-}
-
-func (o *slogObserver) CacheMiss(key lclgrid.SynthKey) {
-	o.l.Debug("cache miss", "key", key.String())
-}
-
-func (o *slogObserver) CacheEvict(key lclgrid.SynthKey) {
-	o.l.Debug("cache evict", "key", key.String())
-}
-
-func (o *slogObserver) Fallback(req lclgrid.SolveRequest, cause error) {
-	o.l.Info("fallback to Θ(n) baseline", "req", reqLabel(req), "cause", cause.Error())
-}
-
-func (o *slogObserver) PlanBuilt(req lclgrid.SolveRequest, plan *lclgrid.Plan) {
-	kinds := make([]string, len(plan.Strategies))
-	for i := range plan.Strategies {
-		kinds[i] = string(plan.Strategies[i].Kind)
-		if plan.Strategies[i].Skip != "" {
-			kinds[i] += "(skip)"
+// Observe implements lclgrid.Observer: failures log at Info, everything
+// else at Debug. Remote-cache traffic is left to the metrics.
+func (o *slogObserver) Observe(ev lclgrid.Event) {
+	switch ev.Kind {
+	case lclgrid.EventRequestStart:
+		o.l.Debug("request start", "req", reqLabel(ev.Request))
+	case lclgrid.EventRequestEnd:
+		if ev.Err != nil {
+			o.l.Info("request end", "req", reqLabel(ev.Request), "error", ev.Err.Error())
+			return
 		}
+		o.l.Debug("request end", "req", reqLabel(ev.Request), "solver", ev.Result.Solver,
+			"rounds", ev.Result.Rounds, "elapsed", roundUS(ev.Result.Elapsed))
+	case lclgrid.EventPlanBuilt:
+		kinds := make([]string, len(ev.Plan.Strategies))
+		for i, s := range ev.Plan.Strategies {
+			kinds[i] = string(s.Kind)
+			if s.Skip != "" {
+				kinds[i] += "(skip)"
+			}
+		}
+		o.l.Debug("plan built", "req", reqLabel(ev.Request), "plan", strings.Join(kinds, " → "))
+	case lclgrid.EventStrategyStart:
+		o.l.Debug("strategy start", "req", reqLabel(ev.Request), "kind", string(ev.Strategy.Kind))
+	case lclgrid.EventStrategyEnd:
+		if ev.Err != nil {
+			o.l.Info("strategy end", "req", reqLabel(ev.Request), "kind", string(ev.Strategy.Kind), "error", ev.Err.Error())
+			return
+		}
+		o.l.Debug("strategy end", "req", reqLabel(ev.Request), "kind", string(ev.Strategy.Kind), "solver", ev.Result.Solver)
+	case lclgrid.EventFallback:
+		o.l.Info("fallback to Θ(n) baseline", "req", reqLabel(ev.Request), "cause", ev.Err.Error())
+	case lclgrid.EventCacheHit:
+		o.l.Debug("cache hit", "key", ev.Key.String())
+	case lclgrid.EventCacheMiss:
+		o.l.Debug("cache miss", "key", ev.Key.String())
+	case lclgrid.EventCacheEvict:
+		o.l.Debug("cache evict", "key", ev.Key.String())
+	case lclgrid.EventSynthesisStart:
+		o.l.Debug("synthesis start", "key", ev.Key.String())
+	case lclgrid.EventSynthesisEnd:
+		if ev.Err != nil {
+			o.l.Info("synthesis end", "key", ev.Key.String(), "elapsed", roundUS(ev.Elapsed), "error", ev.Err.Error())
+			return
+		}
+		o.l.Debug("synthesis end", "key", ev.Key.String(), "elapsed", roundUS(ev.Elapsed))
+	case lclgrid.EventWindowStart:
+		o.l.Debug("window start", "key", ev.Label.Key)
+	case lclgrid.EventWindowEnd:
+		if ev.Err != nil {
+			o.l.Info("window end", "key", ev.Label.Key, "elapsed", roundUS(ev.Elapsed), "error", ev.Err.Error())
+			return
+		}
+		o.l.Debug("window end", "key", ev.Label.Key, "elapsed", roundUS(ev.Elapsed),
+			"window_nodes", ev.Stats.WindowNodes, "halo_nodes", ev.Stats.HaloNodes)
 	}
-	o.l.Debug("plan built", "req", reqLabel(req), "plan", strings.Join(kinds, " → "))
 }
 
-func (o *slogObserver) StrategyStart(req lclgrid.SolveRequest, s *lclgrid.PlannedStrategy) {
-	o.l.Debug("strategy start", "req", reqLabel(req), "kind", string(s.Kind))
-}
-
-func (o *slogObserver) StrategyEnd(req lclgrid.SolveRequest, s *lclgrid.PlannedStrategy, res *lclgrid.Result, err error) {
-	if err != nil {
-		o.l.Info("strategy end", "req", reqLabel(req), "kind", string(s.Kind), "error", err.Error())
-		return
-	}
-	o.l.Debug("strategy end", "req", reqLabel(req), "kind", string(s.Kind), "solver", res.Solver)
-}
-
-// WindowStart implements lclgrid.WindowObserver.
-func (o *slogObserver) WindowStart(req lclgrid.LabelRequest) {
-	o.l.Debug("window start", "key", req.Key)
-}
-
-// WindowEnd implements lclgrid.WindowObserver.
-func (o *slogObserver) WindowEnd(req lclgrid.LabelRequest, stats lclgrid.WindowStats, err error, elapsed time.Duration) {
-	if err != nil {
-		o.l.Info("window end", "key", req.Key, "elapsed", elapsed.Round(time.Microsecond).String(), "error", err.Error())
-		return
-	}
-	o.l.Debug("window end", "key", req.Key, "elapsed", elapsed.Round(time.Microsecond).String(),
-		"window_nodes", stats.WindowNodes, "halo_nodes", stats.HaloNodes)
-}
+// roundUS renders a duration at microsecond resolution for log fields.
+func roundUS(d time.Duration) string { return d.Round(time.Microsecond).String() }
 
 // lookup resolves a problem key against the engine's registry.
 func lookup(key string) (*lclgrid.ProblemSpec, error) {

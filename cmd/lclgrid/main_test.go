@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -412,5 +414,67 @@ func TestCmdBatchCancelledEmitsConsumedLines(t *testing.T) {
 	// and it performed zero syntheses either way.
 	if len(lines) > 3 {
 		t.Errorf("got %d lines for 3 requests", len(lines))
+	}
+}
+
+// TestCmdBatchVerboseEventLog pins the -v event log: `batch -v -log
+// json` over one cold and one warm solve writes one JSON line per engine
+// event, in engine order, naming the synthesis key on cache and
+// synthesis events and the strategy kind on strategy events. The test
+// re-executes its own binary as `lclgrid batch` so stderr is the real
+// logger's.
+func TestCmdBatchVerboseEventLog(t *testing.T) {
+	if os.Getenv("LCLGRID_TEST_BATCH_LOG") == "1" {
+		os.Args = []string{"lclgrid", "batch", "-v", "-log", "json", "-workers", "1", "-labels=false"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCmdBatchVerboseEventLog$")
+	cmd.Env = append(os.Environ(), "LCLGRID_TEST_BATCH_LOG=1")
+	cmd.Stdin = strings.NewReader(`{"key":"5col","n":16}` + "\n" + `{"key":"5col","n":16,"seed":2}` + "\n")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("batch -v: %v\n%s", err, stderr.String())
+	}
+	key := lclgrid.SynthKey{Fingerprint: lclgrid.VertexColoring(5, 2).Fingerprint(), K: 1, H: 3, W: 2}.String()
+	want := []string{
+		"request start",
+		"plan built",
+		"strategy start kind=synthesis",
+		"cache miss key=" + key,
+		"synthesis start key=" + key,
+		"synthesis end key=" + key,
+		"strategy end kind=synthesis",
+		"request end",
+		"request start",
+		"plan built",
+		"strategy start kind=cached-table",
+		"cache hit key=" + key,
+		"strategy end kind=cached-table",
+		"request end",
+	}
+	var got []string
+	sc := bufio.NewScanner(&stderr)
+	for sc.Scan() {
+		var rec struct {
+			Msg  string `json:"msg"`
+			Key  string `json:"key"`
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, sc.Text())
+		}
+		line := rec.Msg
+		if rec.Key != "" {
+			line += " key=" + rec.Key
+		}
+		if rec.Kind != "" {
+			line += " kind=" + rec.Kind
+		}
+		got = append(got, line)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("event log:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

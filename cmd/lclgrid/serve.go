@@ -106,7 +106,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		remote, err = lclgrid.NewRemoteCache(*remoteCache, inner,
 			lclgrid.WithLeaseTTL(*leaseTTL),
 			lclgrid.WithLeaseWait(*cacheWait),
-			lclgrid.WithRemoteObserver(metrics),
 		)
 		if err != nil {
 			return err

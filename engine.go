@@ -30,9 +30,10 @@ import (
 //     construction (WithCache, WithCacheCapacity, WithCacheDir) — the
 //     disk-backed layer persists lookup tables across process restarts,
 //     and Warm pre-synthesizes a catalogue on startup.
-//   - Observability: Observers installed with WithObserver receive
-//     request, synthesis and cache events from the engine and its
-//     singleflight path.
+//   - Observability: Observers installed with WithObserver receive one
+//     Event per lifecycle step — request, plan stage, synthesis, cache
+//     and window events, and the traffic of a RemoteCache tier — through
+//     a single Observe method.
 //
 // Every entry point takes a context.Context and honours cancellation all
 // the way down into the SAT search: a cancelled request aborts an
@@ -165,8 +166,9 @@ func NewEngine(opts ...EngineOption) *Engine {
 		inflight:     make(map[SynthKey]*synthEntry),
 	}
 	if len(e.obs) > 0 {
-		if en, ok := cache.(evictNotifier); ok {
-			en.setOnEvict(e.observeCacheEvict)
+		if src, ok := cache.(eventSource); ok {
+			// Evictions and store traffic belong to no request's trace.
+			src.setSink(func(ev Event) { e.emit(context.Background(), ev) })
 		}
 	}
 	return e
@@ -210,7 +212,7 @@ func (e *Engine) Evict(p *Problem, k, h, w int) bool {
 	}
 	removed := e.cache.Evict(key)
 	if removed {
-		e.observeCacheEvict(key)
+		e.emit(context.Background(), Event{Kind: EventCacheEvict, Key: key})
 	}
 	return removed
 }
@@ -300,9 +302,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 	for {
 		// Fast path: a completed outcome in the cache.
 		if val, ok := e.cache.Get(key); ok {
-			e.hits.Add(1)
-			e.observeCacheHit(key)
-			traceEvent(ctx, "cache.hit", "synth_key", synthKeyAttr(key))
+			e.cacheHit(ctx, key)
 			return withProblem(val.Alg, p), true, val.Err
 		}
 		e.mu.Lock()
@@ -330,9 +330,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 				// which would just re-run the panicking synthesis.
 				return nil, false, ent.err
 			}
-			e.hits.Add(1)
-			e.observeCacheHit(key)
-			traceEvent(ctx, "cache.hit", "synth_key", synthKeyAttr(key))
+			e.cacheHit(ctx, key)
 			return withProblem(ent.alg, p), true, ent.err
 		}
 		ent := &synthEntry{ready: make(chan struct{})}
@@ -345,9 +343,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 			e.retire(key)
 			ent.alg, ent.err = val.Alg, val.Err
 			close(ent.ready)
-			e.hits.Add(1)
-			e.observeCacheHit(key)
-			traceEvent(ctx, "cache.hit", "synth_key", synthKeyAttr(key))
+			e.cacheHit(ctx, key)
 			return withProblem(val.Alg, p), true, val.Err
 		}
 		// Cluster singleflight: having won the local election, contend
@@ -365,8 +361,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 				e.retire(key)
 				ent.alg, ent.err = val.Alg, val.Err
 				close(ent.ready)
-				e.hits.Add(1)
-				e.observeCacheHit(key)
+				e.cacheHit(ctx, key)
 				return withProblem(val.Alg, p), true, val.Err
 			}
 			if rel != nil {
@@ -378,9 +373,8 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 			release = rel
 		}
 		e.misses.Add(1)
-		e.observeCacheMiss(key)
-		e.observeSynthesisStart(key)
-		traceEvent(ctx, "cache.miss", "synth_key", synthKeyAttr(key))
+		e.emit(ctx, Event{Kind: EventCacheMiss, Key: key})
+		e.emit(ctx, Event{Kind: EventSynthesisStart, Key: key})
 		sctx, ssp := StartSpan(ctx, "synthesis")
 		ssp.SetAttr("synth_key", synthKeyAttr(key))
 		start := time.Now()
@@ -397,7 +391,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 					ent.failed = true
 					ssp.SetError(ent.err)
 					ssp.End()
-					e.observeSynthesisEnd(key, time.Since(start), ent.err)
+					e.emit(ctx, Event{Kind: EventSynthesisEnd, Key: key, Elapsed: time.Since(start), Err: ent.err})
 					close(ent.ready)
 					panic(r)
 				}
@@ -418,7 +412,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 			ssp.SetAttr("propagations", strconv.Itoa(ss.Propagated))
 		}
 		ssp.End()
-		e.observeSynthesisEnd(key, time.Since(start), ent.err)
+		e.emit(ctx, Event{Kind: EventSynthesisEnd, Key: key, Elapsed: time.Since(start), Err: ent.err})
 		if !isCtxErr(ent.err) {
 			// Cache the completed outcome (success, UNSAT or a structural
 			// failure) before retiring the slot, so no later Get can miss
@@ -436,6 +430,13 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 		close(ent.ready)
 		return ent.alg, false, ent.err
 	}
+}
+
+// cacheHit counts a synthesis lookup served from the cache and emits
+// its event.
+func (e *Engine) cacheHit(ctx context.Context, key SynthKey) {
+	e.hits.Add(1)
+	e.emit(ctx, Event{Kind: EventCacheHit, Key: key})
 }
 
 // retire removes the singleflight slot for key.
@@ -713,9 +714,9 @@ func (e *Engine) Warm(ctx context.Context, keys ...string) (WarmStats, error) {
 // Elapsed and the per-stage outcomes in Trace (the same plan `lclgrid
 // explain` prints). A cancelled ctx aborts promptly — before any work
 // when already cancelled, or mid-synthesis at the next checkpoint.
-// Observers see a RequestStart/RequestEnd pair for every call, a
-// PlanBuilt event once the plan exists, and a StrategyStart/StrategyEnd
-// pair per executed stage.
+// Observers see an EventRequestStart/EventRequestEnd pair for every
+// call, an EventPlanBuilt once the plan exists, and an
+// EventStrategyStart/EventStrategyEnd pair per executed stage.
 //
 // The Θ(n) fallback is deliberately scoped to too-small-torus failures
 // of synthesis stages: at normal-form scale the brute force is cheap.
@@ -724,7 +725,7 @@ func (e *Engine) Warm(ctx context.Context, keys ...string) (WarmStats, error) {
 // so an honest error beats an open-ended solve.
 func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*Result, error) {
 	start := time.Now()
-	e.observeRequestStart(req)
+	e.emit(ctx, Event{Kind: EventRequestStart, Request: req})
 	var res *Result
 	var err error
 	if err = ctx.Err(); err == nil {
@@ -737,7 +738,7 @@ func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*Result, error) {
 		stamped.Elapsed = time.Since(start)
 		res = &stamped
 	}
-	e.observeRequestEnd(req, res, err)
+	e.emit(ctx, Event{Kind: EventRequestEnd, Request: req, Result: res, Err: err})
 	return res, err
 }
 
@@ -754,6 +755,6 @@ func (e *Engine) solve(ctx context.Context, req SolveRequest) (*Result, error) {
 	psp.SetAttr("strategies", strconv.Itoa(len(plan.Strategies)))
 	psp.SetAttr("class", plan.Class.String())
 	psp.End()
-	e.observePlanBuilt(req, plan)
+	e.emit(ctx, Event{Kind: EventPlanBuilt, Request: req, Plan: plan})
 	return e.executePlan(ctx, req, plan)
 }

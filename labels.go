@@ -308,7 +308,7 @@ func (e *Engine) planLabel(req LabelRequest) (*labelPlan, error) {
 // anything proportional to the torus. The response is a deterministic
 // function of the request and the catalogue.
 func (e *Engine) LabelWindow(ctx context.Context, req LabelRequest) (*LabelResponse, error) {
-	e.observeWindowStart(req)
+	e.emit(ctx, Event{Kind: EventWindowStart, Label: req})
 	ctx, sp := StartSpan(ctx, "window")
 	start := time.Now()
 	res, err := e.labelWindow(ctx, req)
@@ -320,7 +320,7 @@ func (e *Engine) LabelWindow(ctx context.Context, req LabelRequest) (*LabelRespo
 	}
 	sp.SetError(err)
 	sp.End()
-	e.observeWindowEnd(req, stats, err, time.Since(start))
+	e.emit(ctx, Event{Kind: EventWindowEnd, Label: req, Stats: stats, Elapsed: time.Since(start), Err: err})
 	return res, err
 }
 
@@ -380,33 +380,6 @@ func (e *Engine) synthesizeInOrder(ctx context.Context, lp *labelPlan) (*Synthes
 		lastErr = fmt.Errorf("k=%d window %dx%d: %w", a.K, a.H, a.W, err)
 	}
 	return nil, SynthAttempt{}, false, lastErr
-}
-
-// WindowObserver is an optional extension of Observer: observers that
-// also implement it receive windowed-labeling events. It is a side
-// interface (rather than new Observer methods) so existing Observer
-// implementations keep compiling.
-type WindowObserver interface {
-	// WindowStart fires when LabelWindow accepts a request.
-	WindowStart(req LabelRequest)
-	// WindowEnd fires when it completes; stats is zero when err != nil.
-	WindowEnd(req LabelRequest, stats WindowStats, err error, elapsed time.Duration)
-}
-
-func (e *Engine) observeWindowStart(req LabelRequest) {
-	for _, o := range e.obs {
-		if wo, ok := o.(WindowObserver); ok {
-			wo.WindowStart(req)
-		}
-	}
-}
-
-func (e *Engine) observeWindowEnd(req LabelRequest, stats WindowStats, err error, elapsed time.Duration) {
-	for _, o := range e.obs {
-		if wo, ok := o.(WindowObserver); ok {
-			wo.WindowEnd(req, stats, err, elapsed)
-		}
-	}
 }
 
 // --- streaming whole-grid export -------------------------------------------
@@ -500,14 +473,14 @@ func (r *ExportRequest) bandRows(nx, ny int) int {
 // request with cumulative stats.
 func (e *Engine) ExportGrid(ctx context.Context, req ExportRequest, emit func(LabelBand) error) error {
 	lreq := req.labelRequest()
-	e.observeWindowStart(lreq)
+	e.emit(ctx, Event{Kind: EventWindowStart, Label: lreq})
 	ctx, sp := StartSpan(ctx, "export")
 	start := time.Now()
 	stats, err := e.exportGrid(ctx, req, emit)
 	sp.SetAttr("window_nodes", strconv.Itoa(stats.WindowNodes))
 	sp.SetError(err)
 	sp.End()
-	e.observeWindowEnd(lreq, stats, err, time.Since(start))
+	e.emit(ctx, Event{Kind: EventWindowEnd, Label: lreq, Stats: stats, Elapsed: time.Since(start), Err: err})
 	return err
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	lclgrid "lclgrid"
 )
@@ -284,22 +283,25 @@ func TestExportGridMatchesSolve(t *testing.T) {
 	}
 }
 
-// windowEvents is a WindowObserver recording event counts.
+// windowEvents is an Observer recording window event counts.
 type windowEvents struct {
-	lclgrid.NopObserver
 	starts, ends, errs int
 }
 
-func (w *windowEvents) WindowStart(lclgrid.LabelRequest) { w.starts++ }
-func (w *windowEvents) WindowEnd(_ lclgrid.LabelRequest, _ lclgrid.WindowStats, err error, _ time.Duration) {
-	w.ends++
-	if err != nil {
-		w.errs++
+func (w *windowEvents) Observe(ev lclgrid.Event) {
+	switch ev.Kind {
+	case lclgrid.EventWindowStart:
+		w.starts++
+	case lclgrid.EventWindowEnd:
+		w.ends++
+		if ev.Err != nil {
+			w.errs++
+		}
 	}
 }
 
-// TestWindowObserverEvents checks the side-interface fan-out: observers
-// implementing WindowObserver see window events, and errors are counted.
+// TestWindowObserverEvents checks the window-event fan-out: observers
+// see window events, and errors are counted.
 func TestWindowObserverEvents(t *testing.T) {
 	rec := &windowEvents{}
 	eng := lclgrid.NewEngine(lclgrid.WithObserver(rec))

@@ -45,8 +45,9 @@
 //     construction (in-memory by default, LRU-bounded with
 //     WithCacheCapacity, persisted across process restarts with
 //     WithCacheDir; Engine.Warm pre-synthesizes a catalogue on
-//     startup), and Observers installed with WithObserver see every
-//     request, plan, strategy, synthesis and cache event. Context
+//     startup), and Observers installed with WithObserver receive every
+//     request, plan, strategy, synthesis, cache, window and remote-cache
+//     event as one Event value through a single Observe method. Context
 //     cancellation reaches all the way into the tile enumeration and
 //     the CDCL SAT loop, so a deadline aborts an in-flight synthesis
 //     promptly.
@@ -68,7 +69,7 @@
 // plan-explain endpoint, bounded in-flight admission with 429 shedding,
 // per-request timeouts, graceful drain, and a dependency-free
 // Prometheus /metrics exporter (MetricsObserver) fed by the same
-// Observer events.
+// engine events.
 //
 // A minimal session:
 //

@@ -24,8 +24,9 @@ import (
 // and GET /metrics scrapes it. The HTTP-level series (request counts by
 // path and status, in-flight gauge, admission rejections, handler
 // latency) are recorded by the Server; the engine-level series flow in
-// through the Observer callbacks, so one MetricsObserver shared between
-// the two layers tells the whole story of a served request.
+// through Observe — remote-cache traffic included, when the engine's
+// cache is a RemoteCache — so one MetricsObserver shared between the
+// two layers tells the whole story of a served request.
 //
 // All methods are safe for concurrent use; observation is a handful of
 // atomic adds (labelled series take a mutex), cheap enough for the
@@ -33,28 +34,18 @@ import (
 // best-effort snapshot: like CacheStats, counters scraped while requests
 // are in flight are individually exact but not a single consistent cut.
 type MetricsObserver struct {
-	// Engine-level series, fed by the Observer callbacks.
-	requests         atomic.Uint64
-	requestErrors    atomic.Uint64
+	// Engine-level series, fed by Observe: the plain event counters are
+	// a CountingObserver's, the gauges, histograms and labelled series
+	// are kept here.
+	counts           CountingObserver
 	requestsInflight atomic.Int64
 	requestSeconds   *histogram
-	plans            atomic.Uint64
 	strategyRuns     labeledCounter
 	strategyErrors   labeledCounter
-	syntheses        atomic.Uint64
-	synthesisErrors  atomic.Uint64
-	synthesisAborts  atomic.Uint64
 	synthesisSeconds *histogram
-	cacheHits        atomic.Uint64
-	cacheMisses      atomic.Uint64
-	cacheEvictions   atomic.Uint64
-	fallbacks        atomic.Uint64
 
-	// Windowed-labeling series, fed by the WindowObserver callbacks
-	// (LabelWindow and ExportGrid; exports count once with cumulative
-	// stats).
-	labelRequests    atomic.Uint64
-	labelErrors      atomic.Uint64
+	// Windowed-labeling series, fed by the window events (LabelWindow
+	// and ExportGrid; exports count once with cumulative stats).
 	labelWindowNodes atomic.Uint64
 	labelAnchorNodes atomic.Uint64
 	labelHaloNodes   atomic.Uint64
@@ -66,11 +57,10 @@ type MetricsObserver struct {
 	httpRequests  labeledCounter
 	httpSeconds   labeledHistograms
 
-	// Remote-cache series, fed by a RemoteCache's observer hook
-	// (WithRemoteObserver).
-	remoteOps      labeledCounter
-	remoteSeconds  labeledHistograms
-	remoteDegraded atomic.Uint64
+	// Remote-cache series, fed by the remote events of an engine whose
+	// cache is a RemoteCache.
+	remoteOps     labeledCounter
+	remoteSeconds labeledHistograms
 
 	// cacheEntries, when set, reports the live entry count of the
 	// engine's synthesis cache (SetCacheEntriesFunc).
@@ -90,10 +80,7 @@ type MetricsObserver struct {
 	buildInfo atomic.Pointer[[2]string]
 }
 
-var (
-	_ Observer       = (*MetricsObserver)(nil)
-	_ WindowObserver = (*MetricsObserver)(nil)
-)
+var _ Observer = (*MetricsObserver)(nil)
 
 // NewMetricsObserver returns a ready-to-use metrics aggregator.
 func NewMetricsObserver() *MetricsObserver {
@@ -104,85 +91,42 @@ func NewMetricsObserver() *MetricsObserver {
 	}
 }
 
-// --- Observer implementation ------------------------------------------------
-
-func (m *MetricsObserver) RequestStart(SolveRequest) {
-	m.requests.Add(1)
-	m.requestsInflight.Add(1)
-}
-
-func (m *MetricsObserver) RequestEnd(_ SolveRequest, res *Result, err error) {
-	m.requestsInflight.Add(-1)
-	if err != nil {
-		m.requestErrors.Add(1)
-	}
-	// Result.Elapsed is the engine-stamped wall clock of the request;
-	// error-only completions carry no duration and are counted above.
-	if res != nil {
-		m.requestSeconds.observe(res.Elapsed)
-	}
-}
-
-func (m *MetricsObserver) SynthesisStart(SynthKey) { m.syntheses.Add(1) }
-
-func (m *MetricsObserver) SynthesisEnd(_ SynthKey, elapsed time.Duration, err error) {
-	m.synthesisSeconds.observe(elapsed)
-	if err != nil {
-		m.synthesisErrors.Add(1)
-		if IsContextError(err) {
-			m.synthesisAborts.Add(1)
+// Observe implements Observer: the embedded counters tally the event,
+// then one switch feeds the gauges, histograms and labelled series.
+func (m *MetricsObserver) Observe(ev Event) {
+	m.counts.Observe(ev)
+	switch ev.Kind {
+	case EventRequestStart:
+		m.requestsInflight.Add(1)
+	case EventRequestEnd:
+		m.requestsInflight.Add(-1)
+		// Result.Elapsed is the engine-stamped wall clock of the request;
+		// error-only completions carry no duration and are only counted.
+		if ev.Result != nil {
+			m.requestSeconds.observe(ev.Result.Elapsed)
 		}
-	}
-}
-
-func (m *MetricsObserver) CacheHit(SynthKey)            { m.cacheHits.Add(1) }
-func (m *MetricsObserver) CacheMiss(SynthKey)           { m.cacheMisses.Add(1) }
-func (m *MetricsObserver) CacheEvict(SynthKey)          { m.cacheEvictions.Add(1) }
-func (m *MetricsObserver) Fallback(SolveRequest, error) { m.fallbacks.Add(1) }
-
-func (m *MetricsObserver) PlanBuilt(SolveRequest, *Plan) { m.plans.Add(1) }
-
-func (m *MetricsObserver) StrategyStart(_ SolveRequest, s *PlannedStrategy) {
-	m.strategyRuns.add(kindLabel(s))
-}
-
-func (m *MetricsObserver) StrategyEnd(_ SolveRequest, s *PlannedStrategy, _ *Result, err error) {
-	if err != nil {
-		m.strategyErrors.add(kindLabel(s))
+	case EventStrategyStart:
+		m.strategyRuns.add(kindLabel(ev.Strategy))
+	case EventStrategyEnd:
+		if ev.Err != nil {
+			m.strategyErrors.add(kindLabel(ev.Strategy))
+		}
+	case EventSynthesisEnd:
+		m.synthesisSeconds.observe(ev.Elapsed)
+	case EventWindowEnd:
+		m.labelWindowNodes.Add(uint64(ev.Stats.WindowNodes))
+		m.labelAnchorNodes.Add(uint64(ev.Stats.AnchorNodes))
+		m.labelHaloNodes.Add(uint64(ev.Stats.HaloNodes))
+		m.labelSeconds.observe(ev.Elapsed)
+	case EventRemoteOp:
+		m.remoteOps.add(`op="` + ev.Op + `",outcome="` + ev.Outcome + `"`)
+		m.remoteSeconds.observe(`op="`+ev.Op+`"`, ev.Elapsed)
 	}
 }
 
 func kindLabel(s *PlannedStrategy) string {
 	return `kind="` + string(s.Kind) + `"`
 }
-
-// --- WindowObserver implementation ------------------------------------------
-
-func (m *MetricsObserver) WindowStart(LabelRequest) { m.labelRequests.Add(1) }
-
-func (m *MetricsObserver) WindowEnd(_ LabelRequest, stats WindowStats, err error, elapsed time.Duration) {
-	if err != nil {
-		m.labelErrors.Add(1)
-	}
-	m.labelWindowNodes.Add(uint64(stats.WindowNodes))
-	m.labelAnchorNodes.Add(uint64(stats.AnchorNodes))
-	m.labelHaloNodes.Add(uint64(stats.HaloNodes))
-	m.labelSeconds.observe(elapsed)
-}
-
-// --- RemoteCacheObserver implementation ---------------------------------------
-
-// RemoteCacheOp records one remote-cache interaction
-// (lclgrid_remote_cache_ops_total and the per-op latency histogram).
-func (m *MetricsObserver) RemoteCacheOp(op, outcome string, elapsed time.Duration) {
-	m.remoteOps.add(`op="` + op + `",outcome="` + outcome + `"`)
-	m.remoteSeconds.observe(`op="`+op+`"`, elapsed)
-}
-
-// RemoteCacheDegraded records a fall-back to uncoordinated local
-// synthesis (lclgrid_remote_cache_degraded_total) — the series to alert
-// on when the shared cache backend is sick.
-func (m *MetricsObserver) RemoteCacheDegraded() { m.remoteDegraded.Add(1) }
 
 // SetCacheEntriesFunc installs the live source of the
 // lclgrid_cache_entries gauge — typically
@@ -256,28 +200,29 @@ func (m *MetricsObserver) httpEnd(path string, code int, elapsed time.Duration) 
 // scrapes of a quiescent observer are byte-identical.
 func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 	mw := &metricsWriter{w: w}
+	c := m.counts.Counts()
 
-	mw.counter("lclgrid_requests_total", "Solve requests accepted by the engine (batch and stream items included).", m.requests.Load())
-	mw.counter("lclgrid_request_errors_total", "Solve requests that completed with an error.", m.requestErrors.Load())
+	mw.counter("lclgrid_requests_total", "Solve requests accepted by the engine (batch and stream items included).", c.Requests)
+	mw.counter("lclgrid_request_errors_total", "Solve requests that completed with an error.", c.RequestErrors)
 	mw.gauge("lclgrid_requests_inflight", "Solve requests currently executing inside the engine.", m.requestsInflight.Load())
 	mw.histogram("lclgrid_request_duration_seconds", "Engine-side wall-clock duration of completed solve requests.", "", m.requestSeconds)
-	mw.counter("lclgrid_plans_total", "Plans built by the Planner (one per accepted request).", m.plans.Load())
+	mw.counter("lclgrid_plans_total", "Plans built by the Planner (one per accepted request).", c.Plans)
 	mw.labeled("lclgrid_strategy_runs_total", "Plan stages executed, by strategy kind.", "counter", &m.strategyRuns)
 	mw.labeled("lclgrid_strategy_errors_total", "Plan stages that failed, by strategy kind.", "counter", &m.strategyErrors)
-	mw.counter("lclgrid_syntheses_total", "SAT syntheses started (cache misses elected to run).", m.syntheses.Load())
-	mw.counter("lclgrid_synthesis_errors_total", "Syntheses that returned an error (UNSAT proofs and aborts included).", m.synthesisErrors.Load())
-	mw.counter("lclgrid_synthesis_aborts_total", "Syntheses aborted by context cancellation (race losers included).", m.synthesisAborts.Load())
+	mw.counter("lclgrid_syntheses_total", "SAT syntheses started (cache misses elected to run).", c.Syntheses)
+	mw.counter("lclgrid_synthesis_errors_total", "Syntheses that returned an error (UNSAT proofs and aborts included).", c.SynthesisErrors)
+	mw.counter("lclgrid_synthesis_aborts_total", "Syntheses aborted by context cancellation (race losers included).", c.SynthesisAborts)
 	mw.histogram("lclgrid_synthesis_duration_seconds", "Wall-clock duration of SAT syntheses, aborted ones included.", "", m.synthesisSeconds)
-	mw.counter("lclgrid_cache_hits_total", "Synthesis lookups served from the cache (coalesced waiters included).", m.cacheHits.Load())
-	mw.counter("lclgrid_cache_misses_total", "Synthesis lookups that found nothing and started a synthesis.", m.cacheMisses.Load())
-	mw.counter("lclgrid_cache_evictions_total", "Cache entries removed by Evict or a capacity bound.", m.cacheEvictions.Load())
+	mw.counter("lclgrid_cache_hits_total", "Synthesis lookups served from the cache (coalesced waiters included).", c.CacheHits)
+	mw.counter("lclgrid_cache_misses_total", "Synthesis lookups that found nothing and started a synthesis.", c.CacheMisses)
+	mw.counter("lclgrid_cache_evictions_total", "Cache entries removed by Evict or a capacity bound.", c.CacheEvicts)
 	if fn := m.cacheEntries.Load(); fn != nil {
 		mw.gauge("lclgrid_cache_entries", "Entries resident in the synthesis cache.", int64((*fn)()))
 	}
-	mw.counter("lclgrid_fallbacks_total", "Requests redirected to the Θ(n) baseline by a too-small torus.", m.fallbacks.Load())
+	mw.counter("lclgrid_fallbacks_total", "Requests redirected to the Θ(n) baseline by a too-small torus.", c.Fallbacks)
 
-	mw.counter("lclgrid_label_requests_total", "Windowed label requests accepted (streaming exports count once).", m.labelRequests.Load())
-	mw.counter("lclgrid_label_request_errors_total", "Windowed label requests that completed with an error.", m.labelErrors.Load())
+	mw.counter("lclgrid_label_requests_total", "Windowed label requests accepted (streaming exports count once).", c.Windows)
+	mw.counter("lclgrid_label_request_errors_total", "Windowed label requests that completed with an error.", c.WindowErrors)
 	mw.counter("lclgrid_label_window_nodes_total", "Labels produced by windowed evaluation.", m.labelWindowNodes.Load())
 	mw.counter("lclgrid_label_anchor_nodes_total", "Anchor-membership evaluations performed by windowed evaluation (window + halo work).", m.labelAnchorNodes.Load())
 	mw.counter("lclgrid_label_halo_nodes_total", "Anchor-membership evaluations outside the requested windows (the halo overhead).", m.labelHaloNodes.Load())
@@ -285,7 +230,7 @@ func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 
 	mw.labeled("lclgrid_remote_cache_ops_total", "Remote synthesis-cache interactions, by protocol op and outcome.", "counter", &m.remoteOps)
 	mw.labeledHistograms("lclgrid_remote_cache_op_duration_seconds", "Remote synthesis-cache interaction latency, by protocol op.", &m.remoteSeconds)
-	mw.counter("lclgrid_remote_cache_degraded_total", "Cluster-coordination give-ups that fell back to uncoordinated local synthesis.", m.remoteDegraded.Load())
+	mw.counter("lclgrid_remote_cache_degraded_total", "Cluster-coordination give-ups that fell back to uncoordinated local synthesis.", c.RemoteDegraded)
 
 	mw.counter("lclgrid_http_throttled_total", "HTTP requests rejected with 429 by the in-flight admission bound.", m.httpThrottled.Load())
 	mw.gauge("lclgrid_http_requests_inflight", "HTTP requests currently being handled.", m.httpInflight.Load())

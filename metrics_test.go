@@ -90,6 +90,31 @@ func TestMetricsObserverAggregatesEngineEvents(t *testing.T) {
 	if got := metricValue(t, body, "lclgrid_synthesis_duration_seconds_count"); got != float64(counts.Syntheses) {
 		t.Errorf("synthesis duration count = %v, want %v", got, counts.Syntheses)
 	}
+
+	// The same requests again through a 4-worker batch, plus one window:
+	// events delivered from concurrent workers keep both observers in
+	// step (run under -race in CI).
+	eng.SolveBatch(ctx, reqs, WithWorkers(4))
+	if _, err := eng.LabelWindow(ctx, LabelRequest{Key: "mis", N: 12, W: 3, H: 2}); err != nil {
+		t.Fatal(err)
+	}
+	body = metricText(t, m)
+	counts = c.Counts()
+	if counts.Requests != 2*uint64(len(reqs)) || counts.Windows != 1 {
+		t.Errorf("counting observer saw %d requests / %d windows, want %d / 1", counts.Requests, counts.Windows, 2*len(reqs))
+	}
+	for name, want := range map[string]uint64{
+		"lclgrid_requests_total":       counts.Requests,
+		"lclgrid_plans_total":          counts.Plans,
+		"lclgrid_syntheses_total":      counts.Syntheses,
+		"lclgrid_cache_hits_total":     counts.CacheHits,
+		"lclgrid_cache_misses_total":   counts.CacheMisses,
+		"lclgrid_label_requests_total": counts.Windows,
+	} {
+		if got := metricValue(t, body, name); got != float64(want) {
+			t.Errorf("after batch: %s = %v, counting observer %v", name, got, want)
+		}
+	}
 }
 
 // TestHistogramBuckets pins the cumulative bucket rendering: counts
@@ -130,10 +155,9 @@ func TestHistogramBuckets(t *testing.T) {
 func TestSynthesisAbortAccounting(t *testing.T) {
 	m := NewMetricsObserver()
 	key := SynthKey{K: 1, H: 3, W: 3}
-	m.SynthesisEnd(key, time.Millisecond, nil)
-	m.SynthesisEnd(key, time.Millisecond, errors.New("unsat"))
-	m.SynthesisEnd(key, time.Millisecond, context.Canceled)
-	m.SynthesisEnd(key, time.Millisecond, context.DeadlineExceeded)
+	for _, err := range []error{nil, errors.New("unsat"), context.Canceled, context.DeadlineExceeded} {
+		m.Observe(Event{Kind: EventSynthesisEnd, Key: key, Elapsed: time.Millisecond, Err: err})
+	}
 	body := metricText(t, m)
 	if got := metricValue(t, body, "lclgrid_synthesis_errors_total"); got != 3 {
 		t.Errorf("synthesis errors = %v, want 3", got)
@@ -219,11 +243,14 @@ func TestMetricsCacheEntriesGauge(t *testing.T) {
 // sets.
 func TestMetricsRemoteCacheSeries(t *testing.T) {
 	m := NewMetricsObserver()
-	m.RemoteCacheOp("get", "hit", 2*time.Millisecond)
-	m.RemoteCacheOp("get", "miss", time.Millisecond)
-	m.RemoteCacheOp("get", "hit", 3*time.Millisecond)
-	m.RemoteCacheOp("put", "stored", time.Millisecond)
-	m.RemoteCacheDegraded()
+	remoteOp := func(op, outcome string, elapsed time.Duration) {
+		m.Observe(Event{Kind: EventRemoteOp, Op: op, Outcome: outcome, Elapsed: elapsed})
+	}
+	remoteOp("get", "hit", 2*time.Millisecond)
+	remoteOp("get", "miss", time.Millisecond)
+	remoteOp("get", "hit", 3*time.Millisecond)
+	remoteOp("put", "stored", time.Millisecond)
+	m.Observe(Event{Kind: EventRemoteDegraded})
 
 	text := metricText(t, m)
 	for _, name := range []string{
@@ -329,5 +356,36 @@ func TestMetricsTraceAndBuildInfoSeries(t *testing.T) {
 	m.SetBuildInfo("", "")
 	if text := metricText(t, m); !strings.Contains(text, `lclgrid_build_info{revision="unknown",version="unknown"} 1`) {
 		t.Errorf("empty identity did not render as unknown:\n%s", text)
+	}
+}
+
+// TestMetricsDiskTierRendersNoRemoteOps: only the fleet store reports
+// remote-cache operations. An engine on a memory→disk stack — cold
+// solve, warm solve, and a fresh engine loading the table back from
+// disk — renders the remote-cache families with no samples.
+func TestMetricsDiskTierRendersNoRemoteOps(t *testing.T) {
+	dir := t.TempDir()
+	m := NewMetricsObserver()
+	for i := 0; i < 2; i++ {
+		disk, err := NewDiskCache(dir, NewMemoryCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(WithCache(disk), WithObserver(m))
+		for _, seed := range []int64{1, 2} {
+			if _, err := eng.Solve(context.Background(), SolveRequest{Key: "5col", N: 16, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	text := metricText(t, m)
+	if got := metricValue(t, text, "lclgrid_syntheses_total"); got != 1 {
+		t.Fatalf("syntheses = %v, want 1 (the second engine loads from disk)", got)
+	}
+	if strings.Contains(text, "lclgrid_remote_cache_ops_total{") {
+		t.Errorf("disk tier reported remote-cache ops:\n%s", grepMetrics(text, "remote_cache"))
+	}
+	if got := metricValue(t, text, "lclgrid_remote_cache_degraded_total"); got != 0 {
+		t.Errorf("remote degraded = %v, want 0", got)
 	}
 }

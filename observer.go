@@ -1,88 +1,143 @@
 package lclgrid
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 )
 
-// Observer receives engine lifecycle events: one pair per request, one
-// pair per SAT synthesis actually run, and one event per cache
-// interaction. Install with NewEngine(WithObserver(...)); several
-// observers compose (each receives every event, in installation
-// order).
-//
-// Callbacks are invoked synchronously on the goroutine doing the work —
-// from inside the engine's request path and its singleflight synthesis
-// path — so they must be fast and must be safe for concurrent use
-// (batch and stream execution deliver events from many workers at
-// once). An observer must not call back into the engine it observes.
-//
-// Embed NopObserver to implement only the events you care about.
-type Observer interface {
-	// RequestStart fires when Engine.Solve accepts a request (including
-	// each request of a batch or stream).
-	RequestStart(req SolveRequest)
-	// RequestEnd fires when the request completes; exactly one of res
-	// and err is meaningful (res may be non-nil alongside err for
-	// partial results, e.g. a labelling that failed verification).
-	RequestEnd(req SolveRequest, res *Result, err error)
-	// SynthesisStart fires when a SAT synthesis is elected to run (a
-	// cache miss that this goroutine now owns).
-	SynthesisStart(key SynthKey)
-	// SynthesisEnd fires when that synthesis returns; err is nil on
-	// success, ErrUnsatisfiable-wrapping on a proven non-table, or the
-	// context's error on an abort.
-	SynthesisEnd(key SynthKey, elapsed time.Duration, err error)
-	// CacheHit fires when a synthesis lookup is served from the cache,
-	// including waiters coalesced onto an in-flight synthesis.
-	CacheHit(key SynthKey)
-	// CacheMiss fires when a synthesis lookup finds nothing and a
-	// synthesis is started (it always precedes SynthesisStart).
-	CacheMiss(key SynthKey)
-	// CacheEvict fires when a cache entry is removed by Engine.Evict or
-	// by a capacity-bounded cache making room (not on Reset).
-	CacheEvict(key SynthKey)
-	// Fallback fires when a request aimed at a synthesized normal form
-	// is redirected to the Θ(n) baseline because the torus is below the
-	// normal form's minimum side; cause is the ErrTorusTooSmall-wrapping
-	// error that triggered the redirect.
-	Fallback(req SolveRequest, cause error)
-	// PlanBuilt fires once per request after the Planner ranked its
-	// strategies and before any of them runs. The plan (and the
-	// strategies handed to StrategyStart/StrategyEnd) must be treated as
-	// read-only.
-	PlanBuilt(req SolveRequest, plan *Plan)
-	// StrategyStart fires when the plan executor enters a stage; skipped
-	// stages produce no events (they appear only in Result.Trace).
-	StrategyStart(req SolveRequest, s *PlannedStrategy)
-	// StrategyEnd fires when that stage returns; exactly one of res and
-	// err is meaningful (res may accompany err for partial results, e.g.
-	// a labelling that failed verification).
-	StrategyEnd(req SolveRequest, s *PlannedStrategy, res *Result, err error)
+// EventKind names one engine lifecycle event; its comment lists the
+// Event fields the kind sets.
+type EventKind uint8
+
+const (
+	// EventRequestStart fires when Engine.Solve accepts a request
+	// (including each request of a batch or stream). Sets Request.
+	EventRequestStart EventKind = iota + 1
+	// EventRequestEnd fires when the request completes. Sets Request,
+	// Result and Err; exactly one of Result and Err is meaningful (Result
+	// may accompany Err for partial results, e.g. a labelling that failed
+	// verification).
+	EventRequestEnd
+	// EventPlanBuilt fires once per request after the Planner ranked its
+	// strategies and before any of them runs. Sets Request and Plan.
+	EventPlanBuilt
+	// EventStrategyStart fires when the plan executor enters a stage;
+	// skipped stages produce no events (they appear only in
+	// Result.Trace). Sets Request and Strategy.
+	EventStrategyStart
+	// EventStrategyEnd fires when that stage returns. Sets Request,
+	// Strategy, Result and Err, with EventRequestEnd's meaning.
+	EventStrategyEnd
+	// EventFallback fires when a request aimed at a synthesized normal
+	// form is redirected to the Θ(n) baseline because the torus is below
+	// the normal form's minimum side. Sets Request and Err (the
+	// ErrTorusTooSmall-wrapping cause).
+	EventFallback
+	// EventCacheHit fires when a synthesis lookup is served from the
+	// cache, including waiters coalesced onto an in-flight synthesis and
+	// outcomes published by another replica. Sets Key.
+	EventCacheHit
+	// EventCacheMiss fires when a synthesis lookup finds nothing and a
+	// synthesis is started (it always precedes EventSynthesisStart).
+	// Sets Key.
+	EventCacheMiss
+	// EventCacheEvict fires when a cache entry is removed by Engine.Evict
+	// or by a capacity-bounded cache making room (not on Reset). Sets Key.
+	EventCacheEvict
+	// EventSynthesisStart fires when a SAT synthesis is elected to run (a
+	// cache miss that this goroutine now owns). Sets Key.
+	EventSynthesisStart
+	// EventSynthesisEnd fires when that synthesis returns. Sets Key,
+	// Elapsed and Err: nil on success, ErrUnsatisfiable-wrapping on a
+	// proven non-table, or the context's error on an abort.
+	EventSynthesisEnd
+	// EventWindowStart fires when LabelWindow or ExportGrid accepts a
+	// request (an export is one window with cumulative stats). Sets Label.
+	EventWindowStart
+	// EventWindowEnd fires when it completes. Sets Label, Stats (zero
+	// when nothing was evaluated), Elapsed and Err.
+	EventWindowEnd
+	// EventRemoteOp records one interaction of a RemoteCache installed
+	// with WithCache. Sets Op, the protocol verb ("get", "head", "put",
+	// "delete", "lease", "wait"), Outcome, its result ("hit", "miss",
+	// "stored", "granted", "conflict", "served", "error", "corrupt",
+	// "expired"), and Elapsed.
+	EventRemoteOp
+	// EventRemoteDegraded records a coordination give-up: the replica
+	// fell back to uncoordinated local synthesis because the cache
+	// service was unreachable or the lease wait timed out. Sets nothing.
+	EventRemoteDegraded
+)
+
+// Event is one engine lifecycle event. Kind says what happened and which
+// fields are set; the others are zero. Plan, Strategy and Result point
+// at engine-owned values and must be treated as read-only.
+type Event struct {
+	Kind EventKind
+
+	Request  SolveRequest
+	Plan     *Plan
+	Strategy *PlannedStrategy
+	Result   *Result
+
+	Key SynthKey
+
+	Label LabelRequest
+	Stats WindowStats
+
+	Op, Outcome string
+
+	Elapsed time.Duration
+	Err     error
 }
 
-// NopObserver is an Observer that ignores every event; embed it to
-// implement a partial observer that stays compatible when events are
-// added.
-type NopObserver struct{}
+// Observer receives engine lifecycle events: a start/end pair per
+// request, per executed plan stage, per SAT synthesis actually run and
+// per windowed label request, one event per cache interaction, and the
+// traffic of a RemoteCache tier. Install with
+// NewEngine(WithObserver(...)); several observers compose (each receives
+// every event, in installation order). Implementations switch on
+// Event.Kind and ignore the kinds they do not care about, so they stay
+// compatible when kinds are added.
+//
+// Observe is invoked synchronously on the goroutine doing the work —
+// from inside the engine's request path and its singleflight synthesis
+// path — so it must be fast and safe for concurrent use (batch and
+// stream execution deliver events from many workers at once). An
+// observer must not call back into the engine it observes.
+type Observer interface {
+	Observe(ev Event)
+}
 
-func (NopObserver) RequestStart(SolveRequest)                    {}
-func (NopObserver) RequestEnd(SolveRequest, *Result, error)      {}
-func (NopObserver) SynthesisStart(SynthKey)                      {}
-func (NopObserver) SynthesisEnd(SynthKey, time.Duration, error)  {}
-func (NopObserver) CacheHit(SynthKey)                            {}
-func (NopObserver) CacheMiss(SynthKey)                           {}
-func (NopObserver) CacheEvict(SynthKey)                          {}
-func (NopObserver) Fallback(SolveRequest, error)                 {}
-func (NopObserver) PlanBuilt(SolveRequest, *Plan)                {}
-func (NopObserver) StrategyStart(SolveRequest, *PlannedStrategy) {}
-func (NopObserver) StrategyEnd(SolveRequest, *PlannedStrategy, *Result, error) {
+// emit delivers ev to every observer, in installation order. Cache hits
+// and misses are also point events on the request's trace; their
+// synth_key attribute is rendered only when ctx carries a span, so an
+// untraced lookup pays nothing for it.
+func (e *Engine) emit(ctx context.Context, ev Event) {
+	for _, o := range e.obs {
+		o.Observe(ev)
+	}
+	var name string
+	switch ev.Kind {
+	case EventCacheHit:
+		name = "cache.hit"
+	case EventCacheMiss:
+		name = "cache.miss"
+	default:
+		return
+	}
+	if parent := SpanFromContext(ctx); parent != nil {
+		sp := parent.tr.startSpan(name, parent)
+		sp.SetAttr("synth_key", synthKeyAttr(ev.Key))
+		sp.End()
+	}
 }
 
 // ObserverCounts is a snapshot of a CountingObserver.
 type ObserverCounts struct {
-	// Requests and RequestErrors count RequestStart events and the
-	// subset of RequestEnd events carrying an error.
+	// Requests and RequestErrors count EventRequestStart events and the
+	// EventRequestEnd events carrying an error.
 	Requests      uint64 `json:"requests"`
 	RequestErrors uint64 `json:"request_errors"`
 	// Syntheses counts SAT syntheses started; SynthesisErrors the ones
@@ -101,14 +156,14 @@ type ObserverCounts struct {
 	CacheEvicts uint64 `json:"cache_evicts"`
 	// Fallbacks counts too-small-torus redirects to the Θ(n) baseline.
 	Fallbacks uint64 `json:"fallbacks"`
-	// Plans counts PlanBuilt events (one per accepted request);
-	// Strategies counts executed plan stages and StrategyErrors the ones
-	// that failed (skipped stages fire no events).
+	// Plans counts EventPlanBuilt (one per accepted request); Strategies
+	// counts executed plan stages and StrategyErrors the ones that failed
+	// (skipped stages fire no events).
 	Plans          uint64 `json:"plans"`
 	Strategies     uint64 `json:"strategies"`
 	StrategyErrors uint64 `json:"strategy_errors"`
-	// Windows and WindowErrors count WindowStart events and the subset
-	// of WindowEnd events carrying an error; WindowTime is the
+	// Windows and WindowErrors count EventWindowStart events and the
+	// EventWindowEnd events carrying an error; WindowTime is the
 	// cumulative wall-clock time inside windowed evaluation.
 	Windows      uint64        `json:"windows"`
 	WindowErrors uint64        `json:"window_errors"`
@@ -119,11 +174,6 @@ type ObserverCounts struct {
 	RemoteOps      uint64 `json:"remote_ops"`
 	RemoteOpErrors uint64 `json:"remote_op_errors"`
 	RemoteDegraded uint64 `json:"remote_degraded"`
-	// GatewayRequests / GatewayRetries / GatewayErrors count the
-	// gateway-side events (see the GatewayRequest mirrors).
-	GatewayRequests uint64 `json:"gateway_requests"`
-	GatewayRetries  uint64 `json:"gateway_retries"`
-	GatewayErrors   uint64 `json:"gateway_errors"`
 }
 
 // CountingObserver is a built-in Observer that tallies every event in
@@ -151,16 +201,9 @@ type CountingObserver struct {
 	remoteOps       atomic.Uint64
 	remoteOpErrors  atomic.Uint64
 	remoteDegraded  atomic.Uint64
-	gatewayRequests atomic.Uint64
-	gatewayRetries  atomic.Uint64
-	gatewayErrors   atomic.Uint64
 }
 
-var (
-	_ Observer            = (*CountingObserver)(nil)
-	_ WindowObserver      = (*CountingObserver)(nil)
-	_ RemoteCacheObserver = (*CountingObserver)(nil)
-)
+var _ Observer = (*CountingObserver)(nil)
 
 // Counts returns a snapshot of the counters. Like CacheStats, the
 // counters are read independently: a snapshot taken while requests are
@@ -187,146 +230,57 @@ func (c *CountingObserver) Counts() ObserverCounts {
 		RemoteOps:       c.remoteOps.Load(),
 		RemoteOpErrors:  c.remoteOpErrors.Load(),
 		RemoteDegraded:  c.remoteDegraded.Load(),
-		GatewayRequests: c.gatewayRequests.Load(),
-		GatewayRetries:  c.gatewayRetries.Load(),
-		GatewayErrors:   c.gatewayErrors.Load(),
 	}
 }
 
-func (c *CountingObserver) RequestStart(SolveRequest) { c.requests.Add(1) }
-
-func (c *CountingObserver) RequestEnd(_ SolveRequest, _ *Result, err error) {
-	if err != nil {
-		c.requestErrors.Add(1)
-	}
-}
-
-func (c *CountingObserver) SynthesisStart(SynthKey) { c.syntheses.Add(1) }
-
-func (c *CountingObserver) SynthesisEnd(_ SynthKey, elapsed time.Duration, err error) {
-	c.synthesisNanos.Add(int64(elapsed))
-	if err != nil {
-		c.synthesisErrors.Add(1)
-		if IsContextError(err) {
-			c.synthesisAborts.Add(1)
+// Observe implements Observer.
+func (c *CountingObserver) Observe(ev Event) {
+	switch ev.Kind {
+	case EventRequestStart:
+		c.requests.Add(1)
+	case EventRequestEnd:
+		if ev.Err != nil {
+			c.requestErrors.Add(1)
 		}
-	}
-}
-
-func (c *CountingObserver) CacheHit(SynthKey)            { c.cacheHits.Add(1) }
-func (c *CountingObserver) CacheMiss(SynthKey)           { c.cacheMisses.Add(1) }
-func (c *CountingObserver) CacheEvict(SynthKey)          { c.cacheEvicts.Add(1) }
-func (c *CountingObserver) Fallback(SolveRequest, error) { c.fallbacks.Add(1) }
-
-func (c *CountingObserver) PlanBuilt(SolveRequest, *Plan) { c.plans.Add(1) }
-
-func (c *CountingObserver) StrategyStart(SolveRequest, *PlannedStrategy) { c.strategies.Add(1) }
-
-func (c *CountingObserver) StrategyEnd(_ SolveRequest, _ *PlannedStrategy, _ *Result, err error) {
-	if err != nil {
-		c.strategyErrors.Add(1)
-	}
-}
-
-// WindowStart implements WindowObserver: windowed label requests
-// (streaming exports count once, like the metrics series).
-func (c *CountingObserver) WindowStart(LabelRequest) { c.windows.Add(1) }
-
-// WindowEnd implements WindowObserver.
-func (c *CountingObserver) WindowEnd(_ LabelRequest, _ WindowStats, err error, elapsed time.Duration) {
-	c.windowNanos.Add(int64(elapsed))
-	if err != nil {
-		c.windowErrors.Add(1)
-	}
-}
-
-// RemoteCacheOp implements RemoteCacheObserver (install with
-// WithRemoteObserver).
-func (c *CountingObserver) RemoteCacheOp(_, outcome string, _ time.Duration) {
-	c.remoteOps.Add(1)
-	if outcome == "error" {
-		c.remoteOpErrors.Add(1)
-	}
-}
-
-// RemoteCacheDegraded implements RemoteCacheObserver.
-func (c *CountingObserver) RemoteCacheDegraded() { c.remoteDegraded.Add(1) }
-
-// GatewayRequest mirrors the MetricsObserver's gateway-request hook for
-// tests and embedders that drive a CountingObserver by hand — the
-// Gateway itself reports to a concrete *MetricsObserver.
-func (c *CountingObserver) GatewayRequest(route, shard string, code int) { c.gatewayRequests.Add(1) }
-
-// GatewayRetry counts a retried idempotent request.
-func (c *CountingObserver) GatewayRetry() { c.gatewayRetries.Add(1) }
-
-// GatewayError counts a request that exhausted every replica.
-func (c *CountingObserver) GatewayError() { c.gatewayErrors.Add(1) }
-
-// --- engine-side fan-out ----------------------------------------------------
-
-func (e *Engine) observeRequestStart(req SolveRequest) {
-	for _, o := range e.obs {
-		o.RequestStart(req)
-	}
-}
-
-func (e *Engine) observeRequestEnd(req SolveRequest, res *Result, err error) {
-	for _, o := range e.obs {
-		o.RequestEnd(req, res, err)
-	}
-}
-
-func (e *Engine) observeSynthesisStart(key SynthKey) {
-	for _, o := range e.obs {
-		o.SynthesisStart(key)
-	}
-}
-
-func (e *Engine) observeSynthesisEnd(key SynthKey, elapsed time.Duration, err error) {
-	for _, o := range e.obs {
-		o.SynthesisEnd(key, elapsed, err)
-	}
-}
-
-func (e *Engine) observeCacheHit(key SynthKey) {
-	for _, o := range e.obs {
-		o.CacheHit(key)
-	}
-}
-
-func (e *Engine) observeCacheMiss(key SynthKey) {
-	for _, o := range e.obs {
-		o.CacheMiss(key)
-	}
-}
-
-func (e *Engine) observeCacheEvict(key SynthKey) {
-	for _, o := range e.obs {
-		o.CacheEvict(key)
-	}
-}
-
-func (e *Engine) observeFallback(req SolveRequest, cause error) {
-	for _, o := range e.obs {
-		o.Fallback(req, cause)
-	}
-}
-
-func (e *Engine) observePlanBuilt(req SolveRequest, plan *Plan) {
-	for _, o := range e.obs {
-		o.PlanBuilt(req, plan)
-	}
-}
-
-func (e *Engine) observeStrategyStart(req SolveRequest, s *PlannedStrategy) {
-	for _, o := range e.obs {
-		o.StrategyStart(req, s)
-	}
-}
-
-func (e *Engine) observeStrategyEnd(req SolveRequest, s *PlannedStrategy, res *Result, err error) {
-	for _, o := range e.obs {
-		o.StrategyEnd(req, s, res, err)
+	case EventPlanBuilt:
+		c.plans.Add(1)
+	case EventStrategyStart:
+		c.strategies.Add(1)
+	case EventStrategyEnd:
+		if ev.Err != nil {
+			c.strategyErrors.Add(1)
+		}
+	case EventFallback:
+		c.fallbacks.Add(1)
+	case EventCacheHit:
+		c.cacheHits.Add(1)
+	case EventCacheMiss:
+		c.cacheMisses.Add(1)
+	case EventCacheEvict:
+		c.cacheEvicts.Add(1)
+	case EventSynthesisStart:
+		c.syntheses.Add(1)
+	case EventSynthesisEnd:
+		c.synthesisNanos.Add(int64(ev.Elapsed))
+		if ev.Err != nil {
+			c.synthesisErrors.Add(1)
+			if IsContextError(ev.Err) {
+				c.synthesisAborts.Add(1)
+			}
+		}
+	case EventWindowStart:
+		c.windows.Add(1)
+	case EventWindowEnd:
+		c.windowNanos.Add(int64(ev.Elapsed))
+		if ev.Err != nil {
+			c.windowErrors.Add(1)
+		}
+	case EventRemoteOp:
+		c.remoteOps.Add(1)
+		if ev.Outcome == "error" {
+			c.remoteOpErrors.Add(1)
+		}
+	case EventRemoteDegraded:
+		c.remoteDegraded.Add(1)
 	}
 }

@@ -62,8 +62,8 @@ func TestCountingObserver(t *testing.T) {
 
 // TestCountingObserverFleetParity checks the counters added for
 // event-parity with the MetricsObserver: windowed label requests flow
-// through the real WindowObserver seam, and the remote-cache/gateway
-// mirrors count what they are handed.
+// through the real engine path, and remote-cache events count what they
+// are handed.
 func TestCountingObserverFleetParity(t *testing.T) {
 	var c lclgrid.CountingObserver
 	eng := lclgrid.NewEngine(lclgrid.WithObserver(&c))
@@ -91,21 +91,14 @@ func TestCountingObserverFleetParity(t *testing.T) {
 		t.Errorf("window errors = %d, want 1", got)
 	}
 
-	// The remote-cache and gateway hooks are direct mirrors.
-	c.RemoteCacheOp("get", "hit", time.Millisecond)
-	c.RemoteCacheOp("get", "error", time.Millisecond)
-	c.RemoteCacheDegraded()
-	c.GatewayRequest("/v1/solve", "shard1:8081", 200)
-	c.GatewayRetry()
-	c.GatewayError()
+	// Remote-cache events count what they are handed.
+	c.Observe(lclgrid.Event{Kind: lclgrid.EventRemoteOp, Op: "get", Outcome: "hit", Elapsed: time.Millisecond})
+	c.Observe(lclgrid.Event{Kind: lclgrid.EventRemoteOp, Op: "get", Outcome: "error", Elapsed: time.Millisecond})
+	c.Observe(lclgrid.Event{Kind: lclgrid.EventRemoteDegraded})
 	counts = c.Counts()
 	if counts.RemoteOps != 2 || counts.RemoteOpErrors != 1 || counts.RemoteDegraded != 1 {
 		t.Errorf("remote ops = %d/%d errors/%d degraded, want 2/1/1",
 			counts.RemoteOps, counts.RemoteOpErrors, counts.RemoteDegraded)
-	}
-	if counts.GatewayRequests != 1 || counts.GatewayRetries != 1 || counts.GatewayErrors != 1 {
-		t.Errorf("gateway = %d/%d/%d, want 1/1/1",
-			counts.GatewayRequests, counts.GatewayRetries, counts.GatewayErrors)
 	}
 }
 
@@ -129,7 +122,6 @@ func TestObserverLRUEviction(t *testing.T) {
 // eventObserver records the ordered event names for one key, to pin the
 // miss → start → end sequencing contract.
 type eventObserver struct {
-	lclgrid.NopObserver
 	mu     sync.Mutex
 	events []string
 }
@@ -140,12 +132,18 @@ func (o *eventObserver) record(ev string) {
 	o.mu.Unlock()
 }
 
-func (o *eventObserver) SynthesisStart(lclgrid.SynthKey) { o.record("synth-start") }
-func (o *eventObserver) SynthesisEnd(_ lclgrid.SynthKey, _ time.Duration, _ error) {
-	o.record("synth-end")
+func (o *eventObserver) Observe(ev lclgrid.Event) {
+	switch ev.Kind {
+	case lclgrid.EventSynthesisStart:
+		o.record("synth-start")
+	case lclgrid.EventSynthesisEnd:
+		o.record("synth-end")
+	case lclgrid.EventCacheHit:
+		o.record("hit")
+	case lclgrid.EventCacheMiss:
+		o.record("miss")
+	}
 }
-func (o *eventObserver) CacheHit(lclgrid.SynthKey)  { o.record("hit") }
-func (o *eventObserver) CacheMiss(lclgrid.SynthKey) { o.record("miss") }
 
 // TestObserverEventOrder: a cold synthesis emits miss, synth-start,
 // synth-end in that order, then a warm lookup emits hit — and multiple
@@ -176,5 +174,32 @@ func TestObserverEventOrder(t *testing.T) {
 	counts := c.Counts()
 	if counts.CacheMisses != 1 || counts.CacheHits != 1 || counts.Syntheses != 1 {
 		t.Errorf("second observer saw %+v, want 1 miss / 1 hit / 1 synthesis", counts)
+	}
+}
+
+// TestObserverUntracedHitAllocs: on an untraced context a warm
+// Synthesize hit costs the same allocations with an observer installed
+// as without one, and no more than deriving its cache key — emitting
+// the hit event renders no span attributes.
+func TestObserverUntracedHitAllocs(t *testing.T) {
+	p := lclgrid.VertexColoring(5, 2)
+	allocs := func(opts ...lclgrid.EngineOption) float64 {
+		eng := lclgrid.NewEngine(opts...)
+		if _, _, err := eng.Synthesize(bg, p, 1, 3, 2); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, cached, err := eng.Synthesize(bg, p, 1, 3, 2); err != nil || !cached {
+				t.Fatalf("warm lookup: cached=%v err=%v", cached, err)
+			}
+		})
+	}
+	bare := allocs()
+	observed := allocs(lclgrid.WithObserver(&lclgrid.CountingObserver{}))
+	if observed != bare {
+		t.Errorf("warm hit allocates %v with a CountingObserver, %v without", observed, bare)
+	}
+	if key := testing.AllocsPerRun(100, func() { _ = p.Fingerprint() }); observed > key {
+		t.Errorf("warm hit allocates %v, deriving its key %v: the hit event renders attributes untraced", observed, key)
 	}
 }

@@ -500,7 +500,7 @@ func (pl *Planner) baselineStage(p *Problem, t *Torus, ids []int, o Options, cla
 // Result (on a copy — solvers own the Results they return) carrying the
 // full Trace and, when the solver left the class open, the plan's
 // registered classification. Per-stage outcomes are mirrored to the
-// observers as StrategyStart/StrategyEnd pairs.
+// observers as EventStrategyStart/EventStrategyEnd pairs.
 func (e *Engine) executePlan(ctx context.Context, req SolveRequest, plan *Plan) (*Result, error) {
 	var trace []TraceStep
 	var lastRes *Result
@@ -524,10 +524,10 @@ func (e *Engine) executePlan(ctx context.Context, req SolveRequest, plan *Plan) 
 				break
 			}
 			if lastErr != nil && errors.Is(lastErr, ErrTorusTooSmall) {
-				e.observeFallback(req, lastErr)
+				e.emit(ctx, Event{Kind: EventFallback, Request: req, Err: lastErr})
 			}
 		}
-		e.observeStrategyStart(req, st)
+		e.emit(ctx, Event{Kind: EventStrategyStart, Request: req, Strategy: st})
 		sctx, sp := StartSpan(ctx, "strategy")
 		sp.SetAttr("kind", string(st.Kind))
 		start := time.Now()
@@ -535,7 +535,7 @@ func (e *Engine) executePlan(ctx context.Context, req SolveRequest, plan *Plan) 
 		elapsed := time.Since(start)
 		sp.SetError(err)
 		sp.End()
-		e.observeStrategyEnd(req, st, res, err)
+		e.emit(ctx, Event{Kind: EventStrategyEnd, Request: req, Strategy: st, Result: res, Err: err})
 		if err == nil {
 			detail := ""
 			if res != nil {

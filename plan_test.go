@@ -289,18 +289,20 @@ func TestOrientationRaceCancelsLoser(t *testing.T) {
 
 // keyedStartObserver counts SynthesisStart events per SynthKey.
 type keyedStartObserver struct {
-	lclgrid.NopObserver
 	mu     sync.Mutex
 	starts map[lclgrid.SynthKey]int
 }
 
-func (o *keyedStartObserver) SynthesisStart(key lclgrid.SynthKey) {
-	o.mu.Lock()
-	if o.starts == nil {
-		o.starts = make(map[lclgrid.SynthKey]int)
+func (o *keyedStartObserver) Observe(ev lclgrid.Event) {
+	switch ev.Kind {
+	case lclgrid.EventSynthesisStart:
+		o.mu.Lock()
+		if o.starts == nil {
+			o.starts = make(map[lclgrid.SynthKey]int)
+		}
+		o.starts[ev.Key]++
+		o.mu.Unlock()
 	}
-	o.starts[key]++
-	o.mu.Unlock()
 }
 
 // TestParallelSynthesisStress is the racing-oracle stress contract (run

@@ -28,7 +28,7 @@ import (
 //     connection refused, corrupt record — degrades to a local miss.
 //     The engine then synthesizes locally, so a dead cache backend
 //     costs duplicated work, never an outage. Degradations are counted
-//     (RemoteCacheObserver / lclgrid_remote_cache_* metrics) so the
+//     (EventRemoteDegraded / lclgrid_remote_cache_* metrics) so the
 //     condition is visible without being fatal.
 //   - Cluster-wide singleflight: the engine's per-process singleflight
 //     elects one synthesizing goroutine per key; RemoteCache extends
@@ -41,8 +41,9 @@ import (
 //     replica dying mid-synthesis delays the others by at most the
 //     lease TTL.
 //
-// Construct with NewRemoteCache and install via WithCache. Safe for
-// concurrent use.
+// Construct with NewRemoteCache and install via WithCache; the engine's
+// observers then see its traffic as EventRemoteOp and
+// EventRemoteDegraded. Safe for concurrent use.
 type RemoteCache struct {
 	*blobTier
 	blobs   *httpBlobStore
@@ -53,21 +54,6 @@ type RemoteCache struct {
 
 var _ SynthCache = (*RemoteCache)(nil)
 
-// RemoteCacheObserver receives remote-cache events; MetricsObserver
-// implements it (lclgrid_remote_cache_* series). Install with
-// WithRemoteObserver.
-type RemoteCacheObserver interface {
-	// RemoteCacheOp records one remote interaction: op is the protocol
-	// verb ("get", "head", "put", "delete", "lease", "wait"), outcome
-	// its result ("hit", "miss", "stored", "granted", "conflict",
-	// "served", "error", "corrupt", "expired").
-	RemoteCacheOp(op, outcome string, elapsed time.Duration)
-	// RemoteCacheDegraded records a coordination give-up: the replica
-	// fell back to uncoordinated local synthesis because the cache
-	// service was unreachable or the lease wait timed out.
-	RemoteCacheDegraded()
-}
-
 // RemoteCacheOption configures NewRemoteCache.
 type RemoteCacheOption func(*remoteCacheConfig)
 
@@ -76,7 +62,6 @@ type remoteCacheConfig struct {
 	owner   string
 	ttl     time.Duration
 	maxWait time.Duration
-	obs     RemoteCacheObserver
 }
 
 // WithRemoteClient sets the HTTP client used for every cache-service
@@ -111,12 +96,6 @@ func WithLeaseWait(d time.Duration) RemoteCacheOption {
 	return func(cfg *remoteCacheConfig) { cfg.maxWait = d }
 }
 
-// WithRemoteObserver installs the remote-cache event observer
-// (typically the serving MetricsObserver).
-func WithRemoteObserver(obs RemoteCacheObserver) RemoteCacheOption {
-	return func(cfg *remoteCacheConfig) { cfg.obs = obs }
-}
-
 // NewRemoteCache returns a SynthCache backed by the cache service at
 // baseURL (e.g. "http://cache:8090", or a serve replica's
 // ".../v1/cache" mount), layered over inner (nil selects a fresh
@@ -148,7 +127,7 @@ func NewRemoteCache(baseURL string, inner SynthCache, opts ...RemoteCacheOption)
 	}
 	blobs := &httpBlobStore{base: strings.TrimRight(u.String(), "/"), client: cfg.client}
 	return &RemoteCache{
-		blobTier: newBlobTier(blobs, inner, cfg.obs),
+		blobTier: newBlobTier(blobs, inner),
 		blobs:    blobs,
 		owner:    cfg.owner,
 		ttl:      cfg.ttl,
@@ -159,9 +138,17 @@ func NewRemoteCache(baseURL string, inner SynthCache, opts ...RemoteCacheOption)
 // Owner returns the replica identity used for synthesis leases.
 func (c *RemoteCache) Owner() string { return c.owner }
 
+// setSink routes the store's operations and coordination give-ups, as
+// well as the memory layer's capacity evictions, to the engine that
+// installs this cache.
+func (c *RemoteCache) setSink(fn func(Event)) {
+	c.blobTier.setSink(fn)
+	c.sink.Store(&fn)
+}
+
 func (c *RemoteCache) observeDegraded() {
-	if c.obs != nil {
-		c.obs.RemoteCacheDegraded()
+	if fn := c.sink.Load(); fn != nil {
+		(*fn)(Event{Kind: EventRemoteDegraded})
 	}
 }
 

@@ -89,12 +89,11 @@ func TestRemoteCacheDegradesToLocalSynthesis(t *testing.T) {
 			defer ts.Close()
 			obs := NewMetricsObserver()
 			rc, err := NewRemoteCache(ts.URL, nil,
-				WithRemoteClient(&http.Client{Timeout: 100 * time.Millisecond}),
-				WithRemoteObserver(obs))
+				WithRemoteClient(&http.Client{Timeout: 100 * time.Millisecond}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngine(WithCache(rc))
+			eng := NewEngine(WithCache(rc), WithObserver(obs))
 			alg, cached, err := eng.Synthesize(context.Background(), p5, 1, 3, 2)
 			if err != nil || cached || alg == nil {
 				t.Fatalf("degraded solve: alg=%v cached=%v err=%v", alg, cached, err)
@@ -155,10 +154,11 @@ func TestRemoteCacheCorruptRecordHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := NewMetricsObserver()
-	rc, err := NewRemoteCache(base, nil, WithRemoteObserver(obs))
+	rc, err := NewRemoteCache(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := NewEngine(WithCache(rc), WithObserver(obs))
 	if _, ok := rc.Get(key); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
@@ -173,7 +173,6 @@ func TestRemoteCacheCorruptRecordHeals(t *testing.T) {
 
 	// The engine synthesizes through the miss and Put heals the store:
 	// a second replica now reads a valid record.
-	eng := NewEngine(WithCache(rc))
 	if alg, _, err := eng.Synthesize(context.Background(), p5, 1, 3, 2); err != nil || alg == nil {
 		t.Fatalf("synthesis through corrupt record: %v", err)
 	}
@@ -402,5 +401,76 @@ func BenchmarkRemoteCacheWarmSolve(b *testing.B) {
 		if _, err := eng.Solve(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFleetServedHitTracesCacheHit: a traced lookup answered from an
+// outcome another replica published while this one waited on its lease
+// is a cache hit like any other — counted once, and recorded as a
+// cache.hit point event in the request's span tree.
+func TestFleetServedHitTracesCacheHit(t *testing.T) {
+	cs, base := startCacheService(t)
+	p5 := VertexColoring(5, 2)
+	key := SynthKey{Fingerprint: p5.Fingerprint(), K: 1, H: 3, W: 2}
+
+	// Replica "holder" owns the key's lease for the whole test.
+	holder, err := NewRemoteCache(base, nil, WithRemoteOwner("holder"), WithLeaseTTL(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if granted, _, err := holder.acquireLease(context.Background(), cacheKeyName(key)); err != nil || !granted {
+		t.Fatalf("holder's acquire: granted=%v err=%v", granted, err)
+	}
+
+	// Replica "waiter" misses, is refused the lease and polls the store.
+	rc, err := NewRemoteCache(base, nil, WithRemoteOwner("waiter"),
+		WithLeaseTTL(time.Second), WithLeaseWait(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts CountingObserver
+	eng := NewEngine(WithCache(rc), WithObserver(&counts))
+	tr := StartTrace("serve", "test")
+	type outcome struct {
+		cached bool
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		_, cached, err := eng.Synthesize(ContextWithSpan(context.Background(), tr.Root()), p5, 1, 3, 2)
+		done <- outcome{cached, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for cs.Stats().LeaseConflicts == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never contended for the lease")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The holder publishes; the waiter's next poll is served it.
+	alg, _, err := NewEngine().Synthesize(context.Background(), p5, 1, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder.Put(key, CachedSynthesis{Alg: alg})
+	got := <-done
+	if got.err != nil || !got.cached {
+		t.Fatalf("served lookup: cached=%v err=%v", got.cached, got.err)
+	}
+	if c := counts.Counts(); c.CacheHits != 1 || c.CacheMisses != 0 || c.Syntheses != 0 {
+		t.Errorf("counts = %+v, want 1 hit, no miss, no synthesis", c)
+	}
+	tr.Finish(nil)
+	doc := tr.document()
+	if sp := findSpan(doc.Spans, "lease.coordinate"); sp == nil || sp.Attrs["outcome"] != "served" {
+		t.Fatalf("no served lease.coordinate span in %v", spanNames(doc.Spans, nil))
+	}
+	hit := findSpan(doc.Spans, "cache.hit")
+	if hit == nil {
+		t.Fatalf("served hit recorded no cache.hit span; have %v", spanNames(doc.Spans, nil))
+	}
+	if hit.Attrs["synth_key"] != cacheKeyName(key) {
+		t.Errorf("cache.hit synth_key = %q, want %q", hit.Attrs["synth_key"], cacheKeyName(key))
 	}
 }

@@ -21,12 +21,11 @@ import (
 // as an X-Trace-Id response header, on JSONL batch lines, and in error
 // bodies so clients can quote it in bug reports.
 //
-// The design is context-first: the Observer callbacks deliberately
-// carry no context, so spans ride context.Context through the seams
-// that already have one (HTTP middleware, plan execution, synthesis,
-// remote-cache coordination). Every Span method is nil-safe — code on
-// an untraced path (CLI solves, warm sweeps, benchmarks without a
-// buffer) calls straight through at near-zero cost.
+// The design is context-first: spans ride context.Context through the
+// seams that already have one (HTTP middleware, plan execution,
+// synthesis, remote-cache coordination). Every Span method is nil-safe —
+// code on an untraced path (CLI solves, warm sweeps, benchmarks without
+// a buffer) calls straight through at near-zero cost.
 
 // TraceparentHeader is the W3C trace-context propagation header
 // ("00-<32 hex trace-id>-<16 hex span-id>-<2 hex flags>").
@@ -330,21 +329,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // what error bodies and JSONL batch lines stamp as trace_id.
 func TraceIDFromContext(ctx context.Context) string {
 	return SpanFromContext(ctx).TraceID()
-}
-
-// traceEvent records an instantaneous child span (cache hits and other
-// point events worth seeing on the timeline). Unlike StartSpan it never
-// derives a context — the event has no children.
-func traceEvent(ctx context.Context, name string, attrs ...string) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return
-	}
-	sp := parent.tr.startSpan(name, parent)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		sp.SetAttr(attrs[i], attrs[i+1])
-	}
-	sp.End()
 }
 
 // injectTraceparent stamps the context's current span onto an outbound
