@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	lclgrid "lclgrid"
@@ -299,31 +301,39 @@ func BenchmarkEngineSolveStream(b *testing.B) {
 }
 
 // BenchmarkClassifySequential / BenchmarkClassifyParallel measure the
-// racing window sweep of the classification oracle on a cold cache.
-// The subject is MIS at k = 1: the 3×2 window is a ~4ms UNSAT proof and
-// the 3×3 window a ~12ms successful synthesis, so the sequential sweep
-// pays their sum while the parallel sweep pays roughly the maximum —
-// on ≥4 cores the parallel wall-clock sits below the sequential sum of
-// the attempt times. The engine cache is reset every iteration so each
-// classification is genuinely cold (exactly one completed synthesis per
-// winning fingerprint; the parallel run may additionally start-and-
-// abort the losing candidate).
-func benchClassifyCold(b *testing.B, workers int) {
+// classification oracle on a cold cache. The subject is MIS at k = 1:
+// the 3×2 window is a ~4ms UNSAT proof and the 3×3 window a ~12ms
+// successful synthesis, tried in that order. Sequential is one caller;
+// Parallel is GOMAXPROCS callers classifying the same cold problem at
+// once, which singleflight coalesces onto the same two syntheses. The
+// engine cache is reset every iteration so each classification is
+// genuinely cold: exactly two syntheses (Misses) per iteration.
+func benchClassifyCold(b *testing.B, callers int) {
 	ctx := context.Background()
-	eng := lclgrid.NewEngine(lclgrid.WithSynthWorkers(workers))
+	eng := lclgrid.NewEngine()
 	p := lclgrid.MIS(2).Problem
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Reset()
-		res := eng.Classify(ctx, p, 1)
-		if res.Class != lclgrid.ClassLogStar {
-			b.Fatalf("classification drifted: %v (err %v)", res.Class, res.Err)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if res := eng.Classify(ctx, p, 1); res.Class != lclgrid.ClassLogStar {
+					b.Errorf("classification drifted: %v (err %v)", res.Class, res.Err)
+				}
+			}()
+		}
+		wg.Wait()
+		if misses := eng.CacheStats().Misses; misses != 2 {
+			b.Fatalf("cold classification synthesized %d shapes, want 2", misses)
 		}
 	}
 }
 
 func BenchmarkClassifySequential(b *testing.B) { benchClassifyCold(b, 1) }
-func BenchmarkClassifyParallel(b *testing.B)   { benchClassifyCold(b, 0) } // 0 = GOMAXPROCS
+func BenchmarkClassifyParallel(b *testing.B)   { benchClassifyCold(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkEngineSolveDiskWarm pairs with BenchmarkEngineSolveCold:
 // the same fresh-engine-per-solve workload, but over a disk-warmed

@@ -370,13 +370,7 @@ func cmdClassify(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("%s: %s (registry: %s)\n", p, res.Class, spec.Class)
 	for _, a := range res.Attempts {
-		status := fmt.Sprintf("success=%v", a.Success)
-		if a.Aborted {
-			// A race loser cancelled by the winner proves nothing about
-			// its shape — do not render it like a refuted (UNSAT) one.
-			status = "aborted (cancelled by the winning candidate)"
-		}
-		fmt.Printf("  k=%d window %dx%d tiles=%d %s\n", a.K, a.H, a.W, a.NumTiles, status)
+		fmt.Printf("  k=%d window %dx%d tiles=%d success=%v\n", a.K, a.H, a.W, a.NumTiles, a.Success)
 	}
 	return nil
 }

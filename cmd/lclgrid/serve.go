@@ -52,7 +52,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks an ephemeral port)")
 	workers := fs.Int("workers", 0, "worker pool size per /v1/batch stream (0 = GOMAXPROCS)")
-	synthWorkers := fs.Int("synth-workers", 0, "concurrent synthesis candidates per racing sweep (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "persist synthesized tables under this directory")
 	problemsDir := fs.String("problems-dir", "", "persist user-registered problem definitions (POST /v1/problems) under this directory; they re-register on boot")
 	warm := fs.Bool("warm", false, "pre-synthesize the registry catalogue in the background; /readyz gates on completion")
@@ -85,9 +84,7 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	if traces != nil {
 		metrics.SetTraceStatsFunc(traces.Stats)
 	}
-	engineOpts := []lclgrid.EngineOption{
-		lclgrid.WithObserver(metrics), lclgrid.WithSynthWorkers(*synthWorkers),
-	}
+	engineOpts := []lclgrid.EngineOption{lclgrid.WithObserver(metrics)}
 	// With a remote cache the layering is memory → disk → fleet: the
 	// explicit stack replaces buildEngine's cache-dir handling.
 	var remote *lclgrid.RemoteCache

@@ -3,7 +3,6 @@ package lclgrid
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,10 +40,9 @@ import (
 // request's synthesis detaches on its own context without disturbing the
 // shared work. The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	reg          *Registry
-	cache        SynthCache
-	obs          []Observer
-	synthWorkers int
+	reg   *Registry
+	cache SynthCache
+	obs   []Observer
 
 	mu       sync.Mutex
 	inflight map[SynthKey]*synthEntry
@@ -73,12 +71,11 @@ type synthEntry struct {
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	reg          *Registry
-	cache        SynthCache
-	capacity     int
-	cacheDir     string
-	obs          []Observer
-	synthWorkers int
+	reg      *Registry
+	cache    SynthCache
+	capacity int
+	cacheDir string
+	obs      []Observer
 }
 
 // WithRegistry selects the problem registry (default DefaultRegistry()).
@@ -107,15 +104,6 @@ func WithCacheCapacity(n int) EngineOption {
 // layer themselves with NewDiskCache and pass it via WithCache.
 func WithCacheDir(dir string) EngineOption {
 	return func(c *engineConfig) { c.cacheDir = dir }
-}
-
-// WithSynthWorkers bounds how many synthesis candidates the engine runs
-// concurrently when a multi-attempt solve or a classification races its
-// (k, h, w) shapes (default runtime.GOMAXPROCS(0)). 1 disables racing:
-// candidates run strictly in schedule order, the historic sequential
-// behaviour.
-func WithSynthWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.synthWorkers = n }
 }
 
 // WithObserver installs an Observer; repeated options compose (every
@@ -154,16 +142,11 @@ func NewEngine(opts ...EngineOption) *Engine {
 		}
 		cache = layered
 	}
-	workers := cfg.synthWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		reg:          cfg.reg,
-		cache:        cache,
-		obs:          cfg.obs,
-		synthWorkers: workers,
-		inflight:     make(map[SynthKey]*synthEntry),
+		reg:      cfg.reg,
+		cache:    cache,
+		obs:      cfg.obs,
+		inflight: make(map[SynthKey]*synthEntry),
 	}
 	if len(e.obs) > 0 {
 		if src, ok := cache.(eventSource); ok {
@@ -263,27 +246,12 @@ func withProblem(alg *Synthesized, p *Problem) *Synthesized {
 // coalesced onto an in-flight synthesis detach with their own ctx's
 // error the moment it is cancelled; the shared synthesis keeps running
 // for the remaining waiters.
+//
+// Every shape sweep — Classify, SynthesisSolver, LabelWindow, ExportGrid
+// and Warm — calls Synthesize once per shape, in schedule order, and a
+// cold synthesis is always a fresh core.Synthesize, so a shape's table
+// does not depend on which path synthesized it.
 func (e *Engine) Synthesize(ctx context.Context, p *Problem, k, h, w int) (alg *Synthesized, cached bool, err error) {
-	return e.synthesizeWith(ctx, p, k, h, w, nil)
-}
-
-// synthFn is a pluggable cold-path synthesizer: Synthesize passes nil
-// (plain core.Synthesize), sequential sweeps pass a SynthSweep adapter so
-// cache misses share one incremental solver. The fn only runs on a cache
-// miss with the local (and cluster) singleflight election won, so a
-// single-threaded caller's fn is never invoked concurrently.
-type synthFn func(ctx context.Context, k, h, w int) (*Synthesized, error)
-
-// synthKeyAttr renders a SynthKey as a span attribute: the stable cache
-// file name when the key is well-formed, the full form otherwise.
-func synthKeyAttr(key SynthKey) string {
-	if name := cacheKeyName(key); name != "" {
-		return name
-	}
-	return key.String()
-}
-
-func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn synthFn) (alg *Synthesized, cached bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -396,11 +364,7 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 					panic(r)
 				}
 			}()
-			if fn != nil {
-				ent.alg, ent.err = fn(sctx, k, h, w)
-			} else {
-				ent.alg, ent.err = core.Synthesize(sctx, p, k, h, w)
-			}
+			ent.alg, ent.err = core.Synthesize(sctx, p, k, h, w)
 		}()
 		ssp.SetError(ent.err)
 		if ent.alg != nil {
@@ -432,6 +396,15 @@ func (e *Engine) synthesizeWith(ctx context.Context, p *Problem, k, h, w int, fn
 	}
 }
 
+// synthKeyAttr renders a SynthKey as a span attribute: the stable cache
+// file name when the key is well-formed, the full form otherwise.
+func synthKeyAttr(key SynthKey) string {
+	if name := cacheKeyName(key); name != "" {
+		return name
+	}
+	return key.String()
+}
+
 // cacheHit counts a synthesis lookup served from the cache and emits
 // its event.
 func (e *Engine) cacheHit(ctx context.Context, key SynthKey) {
@@ -447,154 +420,19 @@ func (e *Engine) retire(key SynthKey) {
 }
 
 // Classify runs the §7 one-sided classification oracle through the
-// synthesis cache: same smallest-power-first schedule and one-sided
-// semantics as ClassifyOracle, but the window candidates of each power
-// race concurrently (bounded by WithSynthWorkers; the first lookup
-// table cancels the remaining searches) and completed shapes — failed
-// ones included — are cached. A non-blocking cache probe resolves
-// already-known shapes before any speculative SAT work is launched, so
-// re-classifying a warm problem starts zero syntheses. Cancelling ctx
-// aborts the schedule; the context's error is recorded in
-// OracleResult.Err.
+// synthesis cache: ClassifyOracle's schedule and semantics, with every
+// shape synthesized (or replayed) through Synthesize, so completed
+// shapes — failed ones included — are cached and re-classifying a warm
+// problem starts zero syntheses. The shapes are tried strictly in
+// schedule order, so the verdict depends only on the problem, never on
+// timing. Cancelling ctx aborts the schedule; the context's error is
+// recorded in OracleResult.Err.
 func (e *Engine) Classify(ctx context.Context, p *Problem, maxK int) OracleResult {
-	// A single-worker oracle visits its shapes strictly sequentially, so
-	// cache misses can share one incremental solver: each miss extends the
-	// sweep's formula and is decided under an activation assumption,
-	// reusing everything learned from the previous shapes.
-	var fn synthFn
-	if e.synthWorkers == 1 {
-		sweep := core.NewSynthSweep(p)
-		fn = sweep.Synthesize
-	}
 	synth := func(ctx context.Context, p *Problem, k, h, w int) (*Synthesized, error) {
-		alg, _, err := e.synthesizeWith(ctx, p, k, h, w, fn)
+		alg, _, err := e.Synthesize(ctx, p, k, h, w)
 		return alg, err
 	}
-	probe := func(k, h, w int) bool {
-		return e.cache.Contains(SynthKey{Fingerprint: p.Fingerprint(), K: k, H: h, W: w})
-	}
-	return core.ClassifyOracleRace(ctx, synth, probe, p, maxK, e.synthWorkers)
-}
-
-// raceSynthesize synthesizes the attempt shapes concurrently under a
-// derived context, bounded by the engine's synthesis worker budget
-// (WithSynthWorkers): the first shape to admit a lookup table wins and
-// cancels the remaining searches, which retire their singleflight slots
-// without caching (an aborted candidate proves nothing and poisons
-// nothing). Workers pull attempts from an ordered queue, so the
-// schedule's preference order decides which candidates start when the
-// budget is smaller than the attempt list — a 1-worker budget degrades
-// to exactly the historic strictly sequential sweep, never to an
-// arbitrary attempt hogging the only slot. When no shape succeeds it
-// returns the first non-abort failure in schedule order; a cancelled
-// parent ctx returns its error.
-func (e *Engine) raceSynthesize(ctx context.Context, p *Problem, attempts []SynthAttempt) (*Synthesized, SynthAttempt, bool, error) {
-	workers := e.synthWorkers
-	if workers > len(attempts) {
-		workers = len(attempts)
-	}
-	if len(attempts) == 1 || workers <= 1 {
-		// Strict schedule order, stop at the first success; no
-		// speculative work to cancel. The reported failure is the first
-		// in schedule order — the same selection the parallel path makes,
-		// so the error does not depend on the worker budget. Being
-		// sequential, cache misses share one incremental solver.
-		var fn synthFn
-		if len(attempts) > 1 {
-			sweep := core.NewSynthSweep(p)
-			fn = sweep.Synthesize
-		}
-		var firstErr error
-		for _, a := range attempts {
-			alg, cached, err := e.synthesizeWith(ctx, p, a.K, a.H, a.W, fn)
-			if err == nil {
-				return alg, a, cached, err
-			}
-			if isCtxErr(err) {
-				return nil, SynthAttempt{}, false, err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return nil, SynthAttempt{}, false, firstErr
-	}
-	type outcome struct {
-		alg      *Synthesized
-		cached   bool
-		err      error
-		panicked any
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	outs := make([]outcome, len(attempts))
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range attempts {
-			select {
-			case jobs <- i:
-			case <-raceCtx.Done():
-				return // never-started attempts are backfilled below
-			}
-		}
-	}()
-	var winner atomic.Int32
-	winner.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := raceCtx.Err(); err != nil {
-					outs[i].err = err
-					continue
-				}
-				// User-supplied problem callbacks run inside the
-				// synthesis; a panic must reach the race's caller, not
-				// kill the process from this goroutine.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							outs[i].panicked = r
-						}
-					}()
-					a := attempts[i]
-					alg, cached, err := e.Synthesize(raceCtx, p, a.K, a.H, a.W)
-					outs[i] = outcome{alg: alg, cached: cached, err: err}
-					if err == nil {
-						winner.CompareAndSwap(-1, int32(i))
-						cancel() // first table wins; stop the other searches
-					}
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].panicked != nil {
-			panic(outs[i].panicked)
-		}
-		if outs[i].alg == nil && outs[i].err == nil {
-			// Never pulled from the queue: the race was over first.
-			outs[i].err = raceCtx.Err()
-		}
-	}
-	if w := winner.Load(); w >= 0 {
-		return outs[w].alg, attempts[w], outs[w].cached, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, SynthAttempt{}, false, err
-	}
-	// No winner, no parent abort: every candidate completed with a real
-	// failure. Report the first in schedule order (deterministic).
-	for i := range outs {
-		if err := outs[i].err; err != nil && !isCtxErr(err) {
-			return nil, SynthAttempt{}, false, err
-		}
-	}
-	return nil, SynthAttempt{}, false, ErrUnsatisfiable
+	return core.ClassifyOracleWith(ctx, synth, p, maxK)
 }
 
 // WarmStats summarises one Engine.Warm call.
@@ -618,14 +456,13 @@ type WarmStats struct {
 // (every registered key when none are given), so a long-lived service
 // pays its SAT costs at startup instead of on first request. Keys whose
 // plan hint needs no synthesis (constant fill, direct algorithms, the
-// Θ(n) baseline) are skipped; unknown keys abort the sweep. Unlike live
-// solves, Warm tries a spec's attempt shapes strictly in order — at
-// startup there is no latency to win by racing, and sequential warming
-// caches the first (preferred) shape without burning cores on
-// speculative candidates. A synthesis-backed key none of whose attempt shapes admits a
-// table is counted in WarmStats.Failed and reported in the returned
-// error — after the rest of the sweep completes, so one unservable key
-// does not leave the catalogue cold. With a disk-backed cache
+// Θ(n) baseline) are skipped; unknown keys abort the sweep. Like live
+// solves, Warm tries a spec's attempt shapes strictly in order and stops
+// at the first that admits a table, so it caches exactly the shape a
+// cold request would serve. A synthesis-backed key none of whose attempt
+// shapes admits a table is counted in WarmStats.Failed and reported in
+// the returned error — after the rest of the sweep completes, so one
+// unservable key does not leave the catalogue cold. With a disk-backed cache
 // (WithCacheDir), Warm is the catalogue loader: a warmed directory
 // makes every later engine start with Syntheses == 0. Cancelling ctx
 // aborts the sweep with the context's error.
@@ -658,42 +495,25 @@ func (e *Engine) Warm(ctx context.Context, keys ...string) (WarmStats, error) {
 			stats.Skipped++
 			continue
 		}
-		oracleWarm := spec.Oracle
 		p := spec.Problem()
-		warmed := false
-		// Warm is deliberately sequential, so each key's cache misses
-		// share one incremental solver across its attempt shapes.
-		var fn synthFn
-		if len(attempts) > 1 {
-			sweep := core.NewSynthSweep(p)
-			fn = sweep.Synthesize
-		}
-		for _, a := range attempts {
-			_, cached, err := e.synthesizeWith(ctx, p, a.K, a.H, a.W, fn)
-			if isCtxErr(err) {
+		_, _, _, err = synthesizeFirst(ctx, attempts, func(ctx context.Context, a SynthAttempt) (*Synthesized, bool, error) {
+			alg, cached, err := e.Synthesize(ctx, p, a.K, a.H, a.W)
+			if !cached && !isCtxErr(err) {
 				// An aborted call ran no synthesis to completion (or only
 				// waited on someone else's); it must not inflate Syntheses.
-				return stats, err
-			}
-			if !cached {
 				stats.Syntheses++
 			}
-			if err == nil {
-				stats.Warmed++
-				warmed = true
-				break
-			}
-			// UNSAT (now cached, so the miss is not repaid) or a
-			// structural failure: try the solver's next attempt shape.
-		}
-		if !warmed && oracleWarm {
-			// Every oracle shape refused a table: the problem is conjectured
-			// global, the refusals are cached, and live requests fall back to
-			// the Θ(n) baseline — the key is as warm as it can be.
+			return alg, cached, err
+		})
+		switch {
+		case isCtxErr(err):
+			return stats, err
+		case err == nil || spec.Oracle:
+			// Every oracle shape refusing a table is a warm state too: the
+			// problem is conjectured global, the refusals are cached, and
+			// live requests fall back to the Θ(n) baseline.
 			stats.Warmed++
-			warmed = true
-		}
-		if !warmed {
+		default:
 			stats.Failed++
 			failed = append(failed, key)
 		}
@@ -708,7 +528,7 @@ func (e *Engine) Warm(ctx context.Context, keys ...string) (WarmStats, error) {
 // pipeline: the Planner resolves the problem (registry Key or inline
 // Problem), torus and identifier assignment, and ranks the applicable
 // strategies — constant fill, direct algorithm, cached-table probe,
-// racing normal-form synthesis, Θ(n) baseline — into a Plan; the plan
+// in-order normal-form synthesis, Θ(n) baseline — into a Plan; the plan
 // executor then runs the stages in order until one produces a Result.
 // The returned Result carries the request's wall-clock duration in
 // Elapsed and the per-stage outcomes in Trace (the same plan `lclgrid

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lclgrid/internal/lcl"
 )
@@ -83,10 +80,9 @@ type Attempt struct {
 	K, H, W  int
 	NumTiles int
 	Success  bool
-	// Aborted marks an attempt cancelled by the racing sweep: another
-	// window of the same power found a table first, so this candidate's
-	// search was stopped without an answer. An aborted attempt proves
-	// nothing about its shape.
+	// Aborted marks the attempt a cancelled context cut short: its
+	// search stopped without an answer, so it proves nothing about its
+	// shape.
 	Aborted bool
 }
 
@@ -105,13 +101,6 @@ type OracleResult struct {
 // a cache (lclgrid.Engine) substitute their memoised variant.
 type SynthesizeFunc func(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error)
 
-// CacheProbe reports whether a completed synthesis outcome for shape
-// (k, h, w) is already cached. The racing oracle resolves probe-positive
-// windows synchronously first — those are cheap cache lookups through the
-// synth func — so a warm re-classification never launches (and then
-// aborts) speculative SAT work for shapes whose answer is already known.
-type CacheProbe func(k, h, w int) bool
-
 // ClassifyOracle implements the §7 synthesis-as-oracle procedure: trivial
 // problems are detected exactly (constant solutions are decidable on
 // toroidal grids); otherwise normal-form synthesis is attempted for
@@ -126,23 +115,11 @@ func ClassifyOracle(ctx context.Context, p *lcl.Problem, maxK int) OracleResult 
 }
 
 // ClassifyOracleWith is ClassifyOracle with the synthesis step supplied
-// by the caller. The per-k window candidates race concurrently (up to
-// GOMAXPROCS at a time); the one-sided semantics and the
-// smallest-power-first schedule are identical to the sequential oracle —
-// racing happens only between windows of the same power, so the returned
-// algorithm always has the smallest k that admits a table.
+// by the caller. It walks OracleSchedule(maxK) strictly in order and
+// stops at the first shape that admits a table, so the returned
+// algorithm has the smallest k (and, within it, the first window) that
+// synthesizes — the same answer at any parallelism.
 func ClassifyOracleWith(ctx context.Context, synth SynthesizeFunc, p *lcl.Problem, maxK int) OracleResult {
-	return ClassifyOracleRace(ctx, synth, nil, p, maxK, runtime.GOMAXPROCS(0))
-}
-
-// ClassifyOracleRace is the full-control variant of the oracle: probe
-// (may be nil) short-circuits windows whose outcome is already cached,
-// and workers bounds how many window candidates synthesize concurrently
-// within one power (1 selects the historic strictly sequential sweep).
-// When a window admits a table, the remaining candidates of that power
-// are cancelled through a derived context and recorded with
-// Attempt.Aborted set.
-func ClassifyOracleRace(ctx context.Context, synth SynthesizeFunc, probe CacheProbe, p *lcl.Problem, maxK, workers int) OracleResult {
 	if len(p.ConstantSolutions()) > 0 {
 		return OracleResult{Class: ClassO1}
 	}
@@ -154,159 +131,27 @@ func ClassifyOracleRace(ctx context.Context, synth SynthesizeFunc, probe CachePr
 		// the Θ(n) baseline).
 		return res
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	for k := 1; k <= maxK; k++ {
-		// Cached windows first: their outcomes replay from the cache with
-		// no SAT work, so a cached success ends the sweep before any
-		// speculative synthesis is launched.
-		var unknown [][2]int
-		for _, win := range windowsForK(k) {
-			if probe == nil || !probe(k, win[0], win[1]) {
-				unknown = append(unknown, win)
-				continue
-			}
-			alg, err := synth(ctx, p, k, win[0], win[1])
-			if done := res.recordAttempt(k, win, alg, err); done {
-				return res
-			}
-		}
-		alg, err := raceWindows(ctx, synth, p, k, unknown, workers, &res)
-		if err != nil {
-			res.Err = err
-			return res
-		}
+	for _, shape := range OracleSchedule(maxK) {
+		alg, err := synth(ctx, p, shape[0], shape[1], shape[2])
+		att := Attempt{K: shape[0], H: shape[1], W: shape[2], Success: err == nil, Aborted: IsContextError(err)}
 		if alg != nil {
+			att.NumTiles = alg.Graph.NumTiles()
+		}
+		res.Attempts = append(res.Attempts, att)
+		switch {
+		case err == nil:
 			res.Class = ClassLogStar
 			res.Alg = alg
 			return res
-		}
-	}
-	return res
-}
-
-// recordAttempt appends one completed attempt and reports whether the
-// sweep is finished (success or abort); structural failures panic, as
-// they are bugs rather than UNSAT results.
-func (res *OracleResult) recordAttempt(k int, win [2]int, alg *Synthesized, err error) bool {
-	att := Attempt{K: k, H: win[0], W: win[1], Success: err == nil}
-	if alg != nil {
-		att.NumTiles = alg.Graph.NumTiles()
-	}
-	res.Attempts = append(res.Attempts, att)
-	switch {
-	case err == nil:
-		res.Class = ClassLogStar
-		res.Alg = alg
-		return true
-	case IsContextError(err):
-		res.Err = err
-		return true
-	case !errors.Is(err, ErrUnsatisfiable):
-		// Construction errors are bugs, not UNSAT results.
-		panic(fmt.Sprintf("core: synthesis failed structurally: %v", err))
-	}
-	return false
-}
-
-// raceWindows synthesizes the window candidates of one power
-// concurrently (bounded by workers) under a derived context: the first
-// success cancels the rest. It appends every candidate's attempt record
-// to res in schedule order and returns the winning algorithm (nil when
-// every candidate completed UNSAT) or the parent context's error.
-func raceWindows(ctx context.Context, synth SynthesizeFunc, p *lcl.Problem, k int, wins [][2]int, workers int, res *OracleResult) (*Synthesized, error) {
-	if len(wins) == 0 {
-		return nil, nil
-	}
-	if len(wins) == 1 || workers == 1 {
-		// Nothing to race: keep the exact sequential schedule (and its
-		// deterministic attempt order).
-		for _, win := range wins {
-			alg, err := synth(ctx, p, k, win[0], win[1])
-			if done := res.recordAttempt(k, win, alg, err); done {
-				return res.Alg, res.Err
-			}
-		}
-		return nil, nil
-	}
-
-	type outcome struct {
-		alg      *Synthesized
-		err      error
-		panicked any
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, workers)
-	outs := make([]outcome, len(wins))
-	var winner atomic.Int32
-	winner.Store(-1)
-	var wg sync.WaitGroup
-	for i := range wins {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-raceCtx.Done():
-				// Cancelled while queued: this candidate never ran.
-				outs[i].err = raceCtx.Err()
-				return
-			}
-			// A panic below (user-supplied problem callbacks run inside
-			// the synthesis) must reach the oracle's caller, not kill the
-			// process from a bare goroutine.
-			defer func() {
-				if r := recover(); r != nil {
-					outs[i].panicked = r
-				}
-			}()
-			alg, err := synth(raceCtx, p, k, wins[i][0], wins[i][1])
-			outs[i].alg, outs[i].err = alg, err
-			if err == nil {
-				winner.CompareAndSwap(-1, int32(i))
-				cancel() // first success stops the remaining candidates
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].panicked != nil {
-			panic(outs[i].panicked)
-		}
-	}
-	// Record every candidate in schedule order. A candidate that lost the
-	// winner race but still completed successfully keeps Success — its
-	// table is real (and cached by memoised synth funcs) even though the
-	// oracle returns the race winner's algorithm.
-	w := winner.Load()
-	for i, win := range wins {
-		att := Attempt{K: k, H: win[0], W: win[1]}
-		switch {
-		case outs[i].err == nil && outs[i].alg != nil:
-			att.Success = true
-			att.NumTiles = outs[i].alg.Graph.NumTiles()
-		case IsContextError(outs[i].err):
-			att.Aborted = true
-		}
-		res.Attempts = append(res.Attempts, att)
-	}
-	if w >= 0 {
-		return outs[w].alg, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// No winner and no abort: every candidate ran to completion, so any
-	// non-UNSAT failure is structural.
-	for i := range outs {
-		if err := outs[i].err; err != nil && !errors.Is(err, ErrUnsatisfiable) && !IsContextError(err) {
+		case att.Aborted:
+			res.Err = err
+			return res
+		case !errors.Is(err, ErrUnsatisfiable):
+			// Construction errors are bugs, not UNSAT results.
 			panic(fmt.Sprintf("core: synthesis failed structurally: %v", err))
 		}
 	}
-	return nil, nil
+	return res
 }
 
 // OracleSchedule returns the (k, h, w) shapes the oracle tries through

@@ -320,68 +320,16 @@ func TestGatherRadius(t *testing.T) {
 	}
 }
 
-// gatedSynth builds a SynthesizeFunc for the racing-oracle tests: the
-// winner shape returns a real synthesized table after winnerDelay, every
-// other shape blocks until its context is cancelled. Fully deterministic:
-// the loser can only ever end as an abort.
-func gatedSynth(t *testing.T, winH, winW int, winnerDelay time.Duration) SynthesizeFunc {
-	t.Helper()
-	real, err := Synthesize(context.Background(), lcl.VertexColoring(5, 2), 1, winH, winW)
-	if err != nil {
-		t.Fatalf("building the winner table: %v", err)
-	}
-	return func(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error) {
-		if h == winH && w == winW {
-			select {
-			case <-time.After(winnerDelay):
-				return real, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-}
-
-// TestClassifyOracleRaceCancelsLoser: when one window of a power admits
-// a table, the race cancels the other candidate — the blocked loser is
-// released by the derived context (the test would deadlock otherwise)
-// and recorded as an aborted attempt, never as a refuted shape.
-func TestClassifyOracleRaceCancelsLoser(t *testing.T) {
-	synth := gatedSynth(t, 3, 3, 10*time.Millisecond)
-	res := ClassifyOracleRace(context.Background(), synth, nil, lcl.VertexColoring(5, 2), 1, 2)
-	if res.Err != nil {
-		t.Fatalf("oracle aborted: %v", res.Err)
-	}
-	if res.Class != ClassLogStar || res.Alg == nil || res.Alg.H != 3 || res.Alg.W != 3 {
-		t.Fatalf("class %v alg %+v, want Θ(log* n) via the 3×3 winner", res.Class, res.Alg)
-	}
-	if len(res.Attempts) != 2 {
-		t.Fatalf("attempts = %+v, want both k=1 windows recorded", res.Attempts)
-	}
-	byShape := map[[2]int]Attempt{}
-	for _, a := range res.Attempts {
-		byShape[[2]int{a.H, a.W}] = a
-	}
-	if a := byShape[[2]int{3, 3}]; !a.Success || a.Aborted {
-		t.Errorf("winner attempt = %+v, want Success without Aborted", a)
-	}
-	if a := byShape[[2]int{3, 2}]; a.Success || !a.Aborted {
-		t.Errorf("loser attempt = %+v, want Aborted without Success", a)
-	}
-}
-
-// TestClassifyOracleRaceSequential: workers = 1 preserves the historic
-// strictly ordered sweep — the first window of the schedule wins before
-// the second is ever tried.
+// TestClassifyOracleRaceSequential: the oracle walks its schedule
+// strictly in order — the first window of the schedule wins before the
+// second is ever tried.
 func TestClassifyOracleRaceSequential(t *testing.T) {
 	calls := 0
 	synth := func(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error) {
 		calls++
 		return Synthesize(ctx, p, k, h, w)
 	}
-	res := ClassifyOracleRace(context.Background(), synth, nil, lcl.VertexColoring(5, 2), 1, 1)
+	res := ClassifyOracleWith(context.Background(), synth, lcl.VertexColoring(5, 2), 1)
 	if res.Class != ClassLogStar || res.Alg == nil {
 		t.Fatalf("class = %v, want Θ(log* n)", res.Class)
 	}
@@ -394,7 +342,8 @@ func TestClassifyOracleRaceSequential(t *testing.T) {
 }
 
 // TestClassifyOracleRaceParentCancel: a parent cancellation surfaces in
-// OracleResult.Err, not as a classification.
+// OracleResult.Err, not as a classification, and the attempt it cut
+// short is recorded as aborted.
 func TestClassifyOracleRaceParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	synth := func(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error) {
@@ -402,38 +351,14 @@ func TestClassifyOracleRaceParentCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	res := ClassifyOracleRace(ctx, synth, nil, lcl.VertexColoring(5, 2), 1, 2)
+	res := ClassifyOracleWith(ctx, synth, lcl.VertexColoring(5, 2), 1)
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("res.Err = %v, want context.Canceled", res.Err)
 	}
 	if res.Class != ClassUnknown {
 		t.Errorf("aborted oracle claims class %v", res.Class)
 	}
-}
-
-// TestClassifyOracleProbe: probe-positive shapes are resolved through
-// the synth func synchronously (cache replay) before any race is
-// launched, so a warm re-classification of a known shape never starts
-// speculative work.
-func TestClassifyOracleProbe(t *testing.T) {
-	real, err := Synthesize(context.Background(), lcl.VertexColoring(5, 2), 1, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raced bool
-	synth := func(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error) {
-		if h == 3 && w == 2 {
-			return real, nil // the "cached" replay
-		}
-		raced = true
-		return nil, ErrUnsatisfiable
-	}
-	probe := func(k, h, w int) bool { return h == 3 && w == 2 }
-	res := ClassifyOracleRace(context.Background(), synth, probe, lcl.VertexColoring(5, 2), 1, 2)
-	if res.Class != ClassLogStar || res.Alg == nil {
-		t.Fatalf("class = %v, want Θ(log* n) from the probed shape", res.Class)
-	}
-	if raced {
-		t.Error("probe-positive success still launched the unknown candidate")
+	if len(res.Attempts) != 1 || !res.Attempts[0].Aborted || res.Attempts[0].Success {
+		t.Errorf("attempts = %+v, want exactly the cut attempt, marked Aborted", res.Attempts)
 	}
 }

@@ -108,11 +108,11 @@ func Synthesize(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized,
 	}, nil
 }
 
-// cspEncoding is the problem-level structure of the tile CSP, shared by
-// every window shape of the same problem: the partition of labels into
-// node-valid and node-invalid, and per dimension the forbidden label
-// pairs. Precomputing it turns the per-edge encoding loop into pure
-// index arithmetic — no Allowed/NodeOK callback runs per edge.
+// cspEncoding is the problem-level structure of the tile CSP: the
+// partition of labels into node-valid and node-invalid, and per
+// dimension the forbidden label pairs. Precomputing it turns the
+// per-edge encoding loop into pure index arithmetic — no
+// Allowed/NodeOK callback runs per edge.
 type cspEncoding struct {
 	kk        int
 	okLabels  []int
@@ -141,31 +141,22 @@ func newCSPEncoding(p *lcl.Problem) *cspEncoding {
 	return enc
 }
 
-// encodeTileCSP adds the CSP clauses for tile graph tg to s over the
-// variable block starting at base: variable base + t*kk + a is "tile t
-// outputs label a"; every tile holds at least one valid label, and the
-// per-dimension relations hold across every edge of the tile graph.
-// At-most-one constraints are unnecessary because all edge constraints
-// are negative: any chosen label among a tile's true variables works.
-//
-// If act >= 0, the positive at-least-one clauses are guarded with ¬act,
-// so the shape's constraints only bind under the assumption act. The
-// negative clauses need no guard — the all-false assignment satisfies
-// them — which keeps them binary (the solver's fastest clause form) and
-// lets one solver host many shapes at once.
-func encodeTileCSP(s *sat.Solver, enc *cspEncoding, tg *TileGraph, base, act int) {
+// encodeTileCSP adds the CSP clauses for tile graph tg to s: variable
+// t*kk + a is "tile t outputs label a"; every tile holds at least one
+// valid label, and the per-dimension relations hold across every edge of
+// the tile graph. At-most-one constraints are unnecessary because all
+// edge constraints are negative: any chosen label among a tile's true
+// variables works.
+func encodeTileCSP(s *sat.Solver, enc *cspEncoding, tg *TileGraph) {
 	nt, kk := tg.NumTiles(), enc.kk
-	lits := make([]sat.Lit, 0, kk+1)
+	lits := make([]sat.Lit, 0, kk)
 	for t := 0; t < nt; t++ {
 		for _, a := range enc.badLabels {
-			s.AddClause(sat.Neg(base + t*kk + a))
+			s.AddClause(sat.Neg(t*kk + a))
 		}
 		lits = lits[:0]
-		if act >= 0 {
-			lits = append(lits, sat.Neg(act))
-		}
 		for _, a := range enc.okLabels {
-			lits = append(lits, sat.Pos(base+t*kk+a))
+			lits = append(lits, sat.Pos(t*kk+a))
 		}
 		s.AddClause(lits...)
 	}
@@ -173,7 +164,7 @@ func encodeTileCSP(s *sat.Solver, enc *cspEncoding, tg *TileGraph, base, act int
 	// the node and north tile its dim-1 successor.
 	for dim, edges := range [2][][2]int{tg.HEdges, tg.VEdges} {
 		for _, e := range edges {
-			b1, b2 := base+e[0]*kk, base+e[1]*kk
+			b1, b2 := e[0]*kk, e[1]*kk
 			for _, pr := range enc.forb[dim] {
 				s.AddClause(sat.Neg(b1+pr[0]), sat.Neg(b2+pr[1]))
 			}
@@ -182,13 +173,13 @@ func encodeTileCSP(s *sat.Solver, enc *cspEncoding, tg *TileGraph, base, act int
 }
 
 // extractTable reads the tile labelling out of the solver's model.
-func extractTable(s *sat.Solver, enc *cspEncoding, tg *TileGraph, base int) ([]int, error) {
+func extractTable(s *sat.Solver, enc *cspEncoding, tg *TileGraph) ([]int, error) {
 	nt, kk := tg.NumTiles(), enc.kk
 	table := make([]int, nt)
 	for t := 0; t < nt; t++ {
 		table[t] = -1
 		for _, a := range enc.okLabels {
-			if s.Value(base + t*kk + a) {
+			if s.Value(t*kk + a) {
 				table[t] = a
 				break
 			}
@@ -205,7 +196,7 @@ func extractTable(s *sat.Solver, enc *cspEncoding, tg *TileGraph, base int) ([]i
 func solveTileCSP(ctx context.Context, p *lcl.Problem, tg *TileGraph) ([]int, sat.Stats, error) {
 	enc := newCSPEncoding(p)
 	s := sat.NewSolver(tg.NumTiles() * enc.kk)
-	encodeTileCSP(s, enc, tg, 0, -1)
+	encodeTileCSP(s, enc, tg)
 	ok, err := s.SolveContext(ctx)
 	if err != nil {
 		return nil, s.Stats, err
@@ -213,7 +204,7 @@ func solveTileCSP(ctx context.Context, p *lcl.Problem, tg *TileGraph) ([]int, sa
 	if !ok {
 		return nil, s.Stats, ErrUnsatisfiable
 	}
-	table, err := extractTable(s, enc, tg, 0)
+	table, err := extractTable(s, enc, tg)
 	if err != nil {
 		return nil, s.Stats, err
 	}

@@ -33,6 +33,9 @@ type Problem struct {
 	// coexist.
 	allowed [][]bool
 	nodeOK  []bool
+	// fp is the Fingerprint, computed once by NewProblem: the problem is
+	// immutable, and the engine derives a cache key from it per lookup.
+	fp string
 }
 
 // NewProblem constructs a problem over the given label names on
@@ -65,6 +68,7 @@ func NewProblem(name string, labels []string, dims int, allow func(dim, a, b int
 	for a := 0; a < k; a++ {
 		p.nodeOK[a] = nodeOK == nil || nodeOK(a)
 	}
+	p.fp = p.fingerprint()
 	return p
 }
 
@@ -162,7 +166,9 @@ func (p *Problem) String() string {
 // same constraint system, so synthesized lookup tables (which are pure
 // label-index functions) can be shared between them; engine-level
 // synthesis caches key on this value.
-func (p *Problem) Fingerprint() string {
+func (p *Problem) Fingerprint() string { return p.fp }
+
+func (p *Problem) fingerprint() string {
 	h := sha256.New()
 	var buf [8]byte
 	writeInt := func(x int) {

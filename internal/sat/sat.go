@@ -136,10 +136,9 @@ type Stats struct {
 	Learned    int
 	Restarts   int
 	// Aborts counts SolveContext calls that returned with the context's
-	// error instead of an answer. Racing searches (the engine's parallel
-	// synthesis sweep cancels the losers once a winner is found) make
-	// aborted work a first-class outcome, and this is its account: the
-	// other counters still record everything the aborted search burned.
+	// error instead of an answer — a cancelled request or an expired
+	// deadline. The other counters still record everything the aborted
+	// search burned.
 	Aborts int
 	// Minimized counts literals removed from learned clauses by
 	// self-subsumption over reason clauses.

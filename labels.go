@@ -302,10 +302,10 @@ func (e *Engine) planLabel(req LabelRequest) (*labelPlan, error) {
 
 // LabelWindow labels one rectangle of a torus under a registered
 // problem's synthesized normal form. Synthesis rides the engine's
-// cache/singleflight path — attempts are tried in hint order, so a warm
-// cache answers with zero SAT work — and the window is then evaluated
-// coordinate-wise in O(window + halo) time and memory, never allocating
-// anything proportional to the torus. The response is a deterministic
+// cache/singleflight path — attempts are tried in hint order, like every
+// other shape sweep, so a warm cache answers with zero SAT work — and
+// the window is then evaluated coordinate-wise in O(window + halo) time
+// and memory, never allocating anything proportional to the torus. The response is a deterministic
 // function of the request and the catalogue.
 func (e *Engine) LabelWindow(ctx context.Context, req LabelRequest) (*LabelResponse, error) {
 	e.emit(ctx, Event{Kind: EventWindowStart, Label: req})
@@ -329,7 +329,8 @@ func (e *Engine) labelWindow(ctx context.Context, req LabelRequest) (*LabelRespo
 	if err != nil {
 		return nil, err
 	}
-	alg, winner, cached, err := e.synthesizeInOrder(ctx, lp)
+	s := &SynthesisSolver{Problem: lp.spec.Problem(), Engine: e}
+	alg, winner, cached, err := synthesizeFirst(ctx, lp.attempts, s.synthesize)
 	if err != nil {
 		return nil, err
 	}
@@ -359,27 +360,6 @@ func (e *Engine) labelWindow(ctx context.Context, req LabelRequest) (*LabelRespo
 		CacheHit: cached,
 		Stats:    ev.Stats(),
 	}, nil
-}
-
-// synthesizeInOrder resolves the plan's normal form deterministically:
-// attempts are tried strictly in hint order (unlike the racing solve
-// path, whose winner depends on completion order) so that identical
-// requests always serve identical tables — the property label ETags and
-// pinned fixtures rely on. A warm cache makes every try a lookup.
-func (e *Engine) synthesizeInOrder(ctx context.Context, lp *labelPlan) (*Synthesized, SynthAttempt, bool, error) {
-	p := lp.spec.Problem()
-	var lastErr error
-	for _, a := range lp.attempts {
-		alg, cached, err := e.Synthesize(ctx, p, a.K, a.H, a.W)
-		if err == nil {
-			return alg, a, cached, nil
-		}
-		if IsContextError(err) {
-			return nil, SynthAttempt{}, false, err
-		}
-		lastErr = fmt.Errorf("k=%d window %dx%d: %w", a.K, a.H, a.W, err)
-	}
-	return nil, SynthAttempt{}, false, lastErr
 }
 
 // --- streaming whole-grid export -------------------------------------------
@@ -489,7 +469,8 @@ func (e *Engine) exportGrid(ctx context.Context, req ExportRequest, emit func(La
 	if err != nil {
 		return WindowStats{}, err
 	}
-	alg, _, _, err := e.synthesizeInOrder(ctx, lp)
+	s := &SynthesisSolver{Problem: lp.spec.Problem(), Engine: e}
+	alg, _, _, err := synthesizeFirst(ctx, lp.attempts, s.synthesize)
 	if err != nil {
 		return WindowStats{}, err
 	}

@@ -33,15 +33,16 @@
 //     repeated and concurrent requests pay the expensive synthesis once
 //     per problem. Every Solve flows through the Planner → Plan →
 //     Strategy pipeline: the Planner ranks the applicable strategies
-//     (constant fill, direct algorithm, cached-table probe, racing
-//     normal-form synthesis, Θ(n) baseline) from the registry spec, the
+//     (constant fill, direct algorithm, cached-table probe, normal-form
+//     synthesis, Θ(n) baseline) from the registry spec, the
 //     request options, the torus shape and a non-blocking cache probe —
 //     with no SAT work, which is what Engine.Plan and `lclgrid explain`
 //     expose — and the executor walks the stages, recording each
-//     outcome in Result.Trace. Multi-shape synthesis and the per-power
-//     window sweep of the classification oracle race their candidates
-//     concurrently (bounded by WithSynthWorkers); the first lookup
-//     table cancels the losing searches. The cache is chosen at
+//     outcome in Result.Trace. Multi-shape synthesis, the
+//     classification oracle, windowed labels and Engine.Warm all try
+//     their (k, h, w) candidates strictly in schedule order and serve
+//     the first lookup table, so identical requests serve identical
+//     bytes at any parallelism. The cache is chosen at
 //     construction (in-memory by default, LRU-bounded with
 //     WithCacheCapacity, persisted across process restarts with
 //     WithCacheDir; Engine.Warm pre-synthesizes a catalogue on

@@ -211,7 +211,7 @@ func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 	mw.labeled("lclgrid_strategy_errors_total", "Plan stages that failed, by strategy kind.", "counter", &m.strategyErrors)
 	mw.counter("lclgrid_syntheses_total", "SAT syntheses started (cache misses elected to run).", c.Syntheses)
 	mw.counter("lclgrid_synthesis_errors_total", "Syntheses that returned an error (UNSAT proofs and aborts included).", c.SynthesisErrors)
-	mw.counter("lclgrid_synthesis_aborts_total", "Syntheses aborted by context cancellation (race losers included).", c.SynthesisAborts)
+	mw.counter("lclgrid_synthesis_aborts_total", "Syntheses aborted by context cancellation.", c.SynthesisAborts)
 	mw.histogram("lclgrid_synthesis_duration_seconds", "Wall-clock duration of SAT syntheses, aborted ones included.", "", m.synthesisSeconds)
 	mw.counter("lclgrid_cache_hits_total", "Synthesis lookups served from the cache (coalesced waiters included).", c.CacheHits)
 	mw.counter("lclgrid_cache_misses_total", "Synthesis lookups that found nothing and started a synthesis.", c.CacheMisses)

@@ -142,8 +142,8 @@ type ObserverCounts struct {
 	RequestErrors uint64 `json:"request_errors"`
 	// Syntheses counts SAT syntheses started; SynthesisErrors the ones
 	// that returned an error (UNSAT proofs and aborts included), and
-	// SynthesisAborts the subset that ended with a context error — in a
-	// racing sweep these are the losing candidates the winner cancelled.
+	// SynthesisAborts the subset that ended with a context error (the
+	// requests' cancellations and deadlines).
 	// SynthesisTime is the cumulative wall-clock time inside the
 	// synthesizer, aborted work included.
 	Syntheses       uint64        `json:"syntheses"`

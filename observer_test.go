@@ -178,9 +178,9 @@ func TestObserverEventOrder(t *testing.T) {
 }
 
 // TestObserverUntracedHitAllocs: on an untraced context a warm
-// Synthesize hit costs the same allocations with an observer installed
-// as without one, and no more than deriving its cache key — emitting
-// the hit event renders no span attributes.
+// Synthesize hit allocates nothing, with or without an observer: the
+// cache key reuses the problem's stored fingerprint, and emitting the
+// hit event renders no span attributes.
 func TestObserverUntracedHitAllocs(t *testing.T) {
 	p := lclgrid.VertexColoring(5, 2)
 	allocs := func(opts ...lclgrid.EngineOption) float64 {
@@ -194,12 +194,10 @@ func TestObserverUntracedHitAllocs(t *testing.T) {
 			}
 		})
 	}
-	bare := allocs()
-	observed := allocs(lclgrid.WithObserver(&lclgrid.CountingObserver{}))
-	if observed != bare {
-		t.Errorf("warm hit allocates %v with a CountingObserver, %v without", observed, bare)
+	if bare := allocs(); bare != 0 {
+		t.Errorf("warm untraced hit allocates %v, want 0", bare)
 	}
-	if key := testing.AllocsPerRun(100, func() { _ = p.Fingerprint() }); observed > key {
-		t.Errorf("warm hit allocates %v, deriving its key %v: the hit event renders attributes untraced", observed, key)
+	if observed := allocs(lclgrid.WithObserver(&lclgrid.CountingObserver{})); observed != 0 {
+		t.Errorf("warm untraced hit allocates %v with a CountingObserver, want 0", observed)
 	}
 }

@@ -25,7 +25,7 @@ const (
 	// in the synthesis cache — no SAT work at all.
 	StrategyCached StrategyKind = "cached-table"
 	// StrategySynthesis searches for a normal-form lookup table (§7),
-	// racing multiple (k, h, w) candidates concurrently.
+	// trying the (k, h, w) candidates in order until one admits a table.
 	StrategySynthesis StrategyKind = "synthesis"
 	// StrategyBaseline runs the Θ(n) gather-and-solve brute force —
 	// either as the problem's primary strategy or as the fallback when
@@ -351,7 +351,7 @@ func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Pla
 	st := PlannedStrategy{
 		Kind:   StrategySynthesis,
 		Solver: (&SynthesisSolver{}).Name(),
-		Reason: fmt.Sprintf("§7 one-sided oracle: race window candidates for k = 1..%d until a lookup table exists", o.MaxPower),
+		Reason: fmt.Sprintf("§7 one-sided oracle: try window candidates for k = 1..%d in order until a lookup table exists", o.MaxPower),
 	}
 	if p.Dims() != 2 {
 		st.Skip = fmt.Sprintf("normal-form synthesis is implemented for 2-dimensional problems only; %s is %d-dimensional", p.Name(), p.Dims())
@@ -395,20 +395,28 @@ func (pl *Planner) annotateAttempt(p *Problem, t *Torus, a SynthAttempt) PlanAtt
 }
 
 // addSynthesisStages appends the cached-outcome probe stage (when the
-// cache already holds a completed outcome for a fitting shape), the
-// synthesis race stage over the remaining shapes, and — when
-// withFallback — the gated Θ(n) baseline. The cached stage owns the
-// probed shapes entirely: a cached table serves the request instantly,
-// a cached UNSAT fails the stage without SAT work, and either way the
-// synthesis stage never replays a shape whose outcome is already known.
+// cache already holds a completed outcome for the leading fitting
+// shapes), the synthesis stage over the remaining shapes, and — when
+// withFallback — the gated Θ(n) baseline. A cached fitting shape joins
+// the cached stage only while no uncached fitting shape precedes it, so
+// the two stages together still try the fitting shapes in schedule
+// order: a table cached for a later shape (say, by a forced-power
+// request) never overtakes an earlier shape that has not been tried.
+// A cached table serves the request instantly, a cached UNSAT fails the
+// stage without SAT work, and either way the synthesis stage never
+// replays a shape the cached stage already resolved.
 func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAttempt, reason string, withFallback bool, classOf func() Class) {
 	e := pl.e
 	t, ids, o := plan.torus, plan.ids, plan.opts
 	var cachedFit, uncached []SynthAttempt
 	var cachedAnnotated, uncachedAnnotated []PlanAttempt
+	leading := true
 	for _, a := range attempts {
 		ann := pl.annotateAttempt(p, t, a)
-		if ann.Cached && ann.Fits {
+		if ann.Fits && !ann.Cached {
+			leading = false
+		}
+		if leading && ann.Cached && ann.Fits {
 			cachedFit = append(cachedFit, a)
 			cachedAnnotated = append(cachedAnnotated, ann)
 		} else {
@@ -439,7 +447,7 @@ func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAt
 		}
 		if st.Reason == "" {
 			if len(uncached) > 1 {
-				st.Reason = "registered normal-form shapes; candidates race concurrently and the first table wins"
+				st.Reason = "registered normal-form shapes; tried in order and the first table wins"
 			} else {
 				st.Reason = "registered normal-form shape"
 			}

@@ -20,7 +20,7 @@ import (
 //
 //   - Constant: the problem is O(1); a constant label fills the grid.
 //   - Attempts: normal-form synthesis; the listed (k, h, w) shapes are
-//     raced concurrently until one admits a lookup table, with the Θ(n)
+//     tried in order until one admits a lookup table, with the Θ(n)
 //     baseline as the automatic fallback when the torus is below the
 //     normal form's minimum side.
 //   - Direct: a hand-written algorithm adapter (§8, §10, the §6 L_M
@@ -59,9 +59,8 @@ type ProblemSpec struct {
 
 	// Constant marks an O(1) problem served by constant fill.
 	Constant bool
-	// Attempts are the normal-form shapes synthesis tries; with more
-	// than one shape the engine races them concurrently and the first
-	// lookup table wins.
+	// Attempts are the normal-form shapes synthesis tries, in order; the
+	// first shape that admits a lookup table wins.
 	Attempts []SynthAttempt
 	// Direct constructs a direct-algorithm solver (context-aware; see
 	// the Solver interface); the engine is passed so adapters that want
@@ -372,8 +371,8 @@ func orientationSpec(key string, x []int) *ProblemSpec {
 	case ClassLogStar:
 		spec.MinSide = 12 // MinTorusSide for k=1, 3×3 windows
 		// Lemma 23: k=1 suffices; the k=2 square window is the staged
-		// backup. The engine races the two shapes and the k=1 table
-		// (small and fast) cancels the expensive 5×5 search.
+		// backup, tried only if the k=1 shape admits no table (it always
+		// does, so the expensive 5×5 search never runs).
 		spec.Attempts = []SynthAttempt{{K: 1, H: 3, W: 3}, {K: 2, H: 5, W: 5}}
 	default:
 		spec.Class = ClassGlobal

@@ -469,8 +469,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // labelETag computes the strong ETag of a label response without
 // evaluating it: every field of a LabelResponse is a deterministic
-// function of the resolved request and the catalogue (synthesis is
-// deterministic and label requests never race attempts), so the
+// function of the resolved request and the catalogue. Every shape sweep
+// tries its attempts in order and every cold synthesis builds the same
+// table, so a warmed, a cold and a restarted engine agree, and the
 // canonical form of the resolved request identifies the response. ok is
 // false when the request does not resolve (the handler then reports the
 // planning error through the normal path).

@@ -67,16 +67,14 @@ type SynthAttempt struct {
 }
 
 // SynthesisSolver solves a problem by a synthesized normal-form algorithm
-// A' ∘ S_k (§7). With an Engine attached, multiple attempts race
-// concurrently (bounded by the engine's WithSynthWorkers) and the first
-// shape to admit a lookup table wins, cancelling the rest; without one,
-// attempts are tried strictly in order. Synthesis goes through the
+// A' ∘ S_k (§7). It tries its attempt shapes strictly in order and runs
+// the first that admits a lookup table. Synthesis goes through the
 // Engine's cache when one is attached, so repeated solves pay the SAT
 // cost once per problem fingerprint.
 type SynthesisSolver struct {
 	Problem  *Problem
 	Attempts []SynthAttempt
-	// Engine, when non-nil, provides cached (and racing) synthesis.
+	// Engine, when non-nil, provides cached synthesis.
 	Engine *Engine
 }
 
@@ -99,6 +97,31 @@ func (s *SynthesisSolver) synthesize(ctx context.Context, a SynthAttempt) (*core
 	}
 	alg, err := core.Synthesize(ctx, s.Problem, a.K, a.H, a.W)
 	return alg, false, err
+}
+
+// synthesizeFirst is the one shape sweep behind every multi-shape
+// synthesis — SynthesisSolver (with or without an engine), LabelWindow,
+// ExportGrid and Engine.Warm. It tries the attempts strictly in schedule
+// order through synth and returns the first that admits a lookup table,
+// so which normal form serves depends only on the attempts, never on
+// timing or parallelism. A cancelled ctx returns its error at once; when
+// no shape succeeds, the error is the first failure in schedule order.
+// attempts must be non-empty.
+func synthesizeFirst(ctx context.Context, attempts []SynthAttempt, synth func(context.Context, SynthAttempt) (*Synthesized, bool, error)) (*Synthesized, SynthAttempt, bool, error) {
+	var firstErr error
+	for _, a := range attempts {
+		alg, cached, err := synth(ctx, a)
+		if err == nil {
+			return alg, a, cached, nil
+		}
+		if isCtxErr(err) {
+			return nil, SynthAttempt{}, false, err
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, SynthAttempt{}, false, firstErr
 }
 
 // attemptFits reports whether the torus meets the attempt shape's
@@ -143,38 +166,8 @@ func (s *SynthesisSolver) Solve(ctx context.Context, t *Torus, ids []int, opts .
 		return nil, fmt.Errorf("lclgrid: no normal-form table for %s at the tried shapes: %w", s.Problem.Name(), tooSmallErr)
 	}
 
-	var alg *core.Synthesized
-	var winner SynthAttempt
-	var cached bool
-	var err error
-	if s.Engine != nil {
-		// Race the candidate shapes concurrently: the first lookup table
-		// wins and the engine cancels the remaining searches. The engine
-		// degrades to the strict sequential sweep itself when the worker
-		// budget (or the attempt list) is 1.
-		alg, winner, cached, err = s.Engine.raceSynthesize(ctx, s.Problem, fitting)
-	} else {
-		// No engine: strictly sequential, uncached synthesis. Like the
-		// race, the reported failure is the first in schedule order.
-		var firstErr error
-		for _, a := range fitting {
-			alg, cached, err = s.synthesize(ctx, a)
-			if err == nil {
-				winner = a
-				break
-			}
-			if isCtxErr(err) {
-				return nil, err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if alg == nil {
-			err = firstErr
-		}
-	}
-	if alg == nil {
+	alg, winner, cached, err := synthesizeFirst(ctx, fitting, s.synthesize)
+	if err != nil {
 		if isCtxErr(err) {
 			return nil, err
 		}
