@@ -392,8 +392,12 @@ func cmdSynth(ctx context.Context, args []string) error {
 		return fmt.Errorf("%s has no SFT form to synthesize against", spec.Name)
 	}
 	p := spec.Problem()
-	if *h == 0 || *w == 0 {
-		*h, *w = lclgrid.DefaultWindow(*k)
+	dh, dw := lclgrid.DefaultWindow(*k)
+	if *h == 0 {
+		*h = dh
+	}
+	if *w == 0 {
+		*w = dw
 	}
 	alg, cached, err := engine.Synthesize(ctx, p, *k, *h, *w)
 	if err != nil {

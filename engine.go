@@ -247,10 +247,11 @@ func withProblem(alg *Synthesized, p *Problem) *Synthesized {
 // error the moment it is cancelled; the shared synthesis keeps running
 // for the remaining waiters.
 //
-// Every shape sweep — Classify, SynthesisSolver, LabelWindow, ExportGrid
-// and Warm — calls Synthesize once per shape, in schedule order, and a
-// cold synthesis is always a fresh core.Synthesize, so a shape's table
-// does not depend on which path synthesized it.
+// Every shape sweep — Classify, the planner's oracle stage for inline
+// and user problems, SynthesisSolver, LabelWindow, ExportGrid and Warm —
+// calls Synthesize once per shape, in schedule order, and a cold
+// synthesis is always a fresh core.Synthesize, so a shape's table does
+// not depend on which path synthesized it.
 func (e *Engine) Synthesize(ctx context.Context, p *Problem, k, h, w int) (alg *Synthesized, cached bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -489,7 +490,7 @@ func (e *Engine) Warm(ctx context.Context, keys ...string) (WarmStats, error) {
 			// startup. Either outcome is the warm state: a conjectured-global
 			// problem's negative certificates serve requests just as a table
 			// does.
-			attempts = oracleAttempts()
+			attempts = oracleAttempts(3)
 		}
 		if len(attempts) == 0 || spec.Problem == nil {
 			stats.Skipped++

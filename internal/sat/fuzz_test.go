@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // dpllRef is a deliberately naive DPLL used as the reference oracle for
 // differential fuzzing: unit propagation plus chronological branching on
@@ -103,8 +100,8 @@ func decodeCNF(data []byte) (n int, clauses [][]Lit) {
 
 // FuzzSATSolver differentially fuzzes the CDCL solver against the naive
 // DPLL reference: answers must match, SAT models must satisfy every
-// clause, and an assumption-based re-solve must match DPLL on the
-// formula extended with the assumptions as units.
+// clause, and after unit clauses are added to the searched solver a
+// re-solve must match DPLL on the extended formula.
 func FuzzSATSolver(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 0xFF, 1, 3, 0xFF, 5, 0xFF})                   // mixed units and binaries
 	f.Add([]byte{2, 0, 0xFF, 1, 0xFF})                                  // x0 ∧ ¬x0: UNSAT
@@ -140,9 +137,10 @@ func FuzzSATSolver(f *testing.F) {
 			}
 		}
 
-		// Derive up to two assumptions from the tail of the input and
-		// cross-check incremental solving on the same solver instance.
-		var assumps []Lit
+		// Derive up to two unit clauses from the tail of the input, add
+		// them after the search, and cross-check the re-solve on the same
+		// solver instance.
+		var units []Lit
 		for i := 0; i < 2 && i < len(data); i++ {
 			b := data[len(data)-1-i]
 			if b == 0xFF {
@@ -150,28 +148,22 @@ func FuzzSATSolver(f *testing.F) {
 			}
 			v := int(b>>1) % n
 			if b&1 == 0 {
-				assumps = append(assumps, Pos(v))
+				units = append(units, Pos(v))
 			} else {
-				assumps = append(assumps, Neg(v))
+				units = append(units, Neg(v))
 			}
 		}
-		if len(assumps) == 0 {
+		if len(units) == 0 {
 			return
 		}
 		extended := append([][]Lit(nil), clauses...)
-		for _, a := range assumps {
-			extended = append(extended, []Lit{a})
+		for _, u := range units {
+			extended = append(extended, []Lit{u})
+			s.AddClause(u)
 		}
-		wantAssumed := dpllRef(extended, make([]int8, n))
-		gotAssumed, err := s.SolveAssuming(context.Background(), assumps...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotAssumed != wantAssumed {
-			t.Fatalf("SolveAssuming=%v DPLL=%v on n=%d clauses=%v assumps=%v", gotAssumed, wantAssumed, n, clauses, assumps)
-		}
-		if s.Solve() != want {
-			t.Fatalf("plain answer changed after assumption solve (n=%d clauses=%v assumps=%v)", n, clauses, assumps)
+		wantExtended := dpllRef(extended, make([]int8, n))
+		if got := s.Solve(); got != wantExtended {
+			t.Fatalf("re-solve after AddClause=%v DPLL=%v on n=%d clauses=%v units=%v", got, wantExtended, n, clauses, units)
 		}
 	})
 }

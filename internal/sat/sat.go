@@ -12,10 +12,8 @@
 // dedicated implication list (the other literal is stored inline, no
 // clause dereference), long-clause watches carry a blocker literal, and
 // learned clauses are scored by LBD and activity so the database can be
-// periodically reduced. Clauses may be added after a search has run, and
-// SolveAssuming decides satisfiability under assumption literals without
-// committing them, so one solver can be reused incrementally across a
-// sweep of related formulas.
+// periodically reduced. A search can be cancelled through its context
+// and resumed, and clauses may be added after a search has run.
 package sat
 
 import (
@@ -82,11 +80,11 @@ type watcher struct {
 	blocker Lit
 }
 
-// Solver is a CDCL SAT solver. Create with NewSolver, add clauses with
-// AddClause, then call Solve, SolveContext or SolveAssuming. The
-// variable space can be grown between solves with AddVars, and AddClause
-// may be called after a search (the solver transparently drops back to
-// decision level 0).
+// Solver is a CDCL SAT solver over a fixed set of variables. Create it
+// with NewSolver, add clauses with AddClause, then call Solve or
+// SolveContext. AddClause may also be called after a search (the solver
+// drops back to decision level 0 first), which is how a caller blocks a
+// model and re-solves.
 type Solver struct {
 	nVars   int
 	clauses []clause    // long clauses; deleted slots are recycled via free
@@ -151,39 +149,29 @@ type Stats struct {
 
 // NewSolver creates a solver over nVars variables (indices 0..nVars-1).
 func NewSolver(nVars int) *Solver {
-	s := &Solver{varInc: 1, claInc: 1}
-	s.heap.init(s)
-	s.AddVars(nVars)
+	s := &Solver{
+		nVars:     nVars,
+		watches:   make([][]watcher, 2*nVars),
+		bins:      make([][]Lit, 2*nVars),
+		addSeen:   make([]int8, 2*nVars),
+		assign:    make([]int8, nVars),
+		level:     make([]int32, nVars),
+		reason:    make([]int32, nVars),
+		reasonLit: make([]Lit, nVars),
+		phase:     make([]bool, nVars),
+		seen:      make([]bool, nVars),
+		activity:  make([]float64, nVars),
+		lbdSeen:   make([]uint64, nVars+1),
+		varInc:    1,
+		claInc:    1,
+	}
+	// Every activity starts at 0, so the identity order is already a heap.
+	s.heap = varHeap{s: s, heap: make([]int, nVars), pos: make([]int, nVars), size: nVars}
+	for v := 0; v < nVars; v++ {
+		s.reason[v] = reasonNone
+		s.heap.heap[v], s.heap.pos[v] = v, v
+	}
 	return s
-}
-
-// AddVars grows the variable space by n fresh variables and returns the
-// index of the first new variable. It may be called between solves,
-// which is how incremental encodings extend one solver across a sweep of
-// related formulas.
-func (s *Solver) AddVars(n int) int {
-	base := s.nVars
-	s.nVars += n
-	s.watches = append(s.watches, make([][]watcher, 2*n)...)
-	s.bins = append(s.bins, make([][]Lit, 2*n)...)
-	s.addSeen = append(s.addSeen, make([]int8, 2*n)...)
-	s.assign = append(s.assign, make([]int8, n)...)
-	s.level = append(s.level, make([]int32, n)...)
-	s.phase = append(s.phase, make([]bool, n)...)
-	s.seen = append(s.seen, make([]bool, n)...)
-	s.activity = append(s.activity, make([]float64, n)...)
-	for len(s.lbdSeen) < s.nVars+1 {
-		s.lbdSeen = append(s.lbdSeen, 0)
-	}
-	for i := 0; i < n; i++ {
-		s.reason = append(s.reason, reasonNone)
-		s.reasonLit = append(s.reasonLit, 0)
-	}
-	s.heap.grow(s.nVars)
-	for v := base; v < s.nVars; v++ {
-		s.heap.push(v)
-	}
-	return base
 }
 
 // NumVars returns the number of variables.
@@ -720,42 +708,8 @@ const ctxCheckInterval = 1024
 // safe to call SolveContext again with a live context to resume deciding
 // the same formula. Every aborted call is tallied in Stats.Aborts.
 func (s *Solver) SolveContext(ctx context.Context) (bool, error) {
-	return s.SolveAssuming(ctx)
-}
-
-// SolveAssuming decides satisfiability under the given assumption
-// literals, treated as forced first decisions. It returns (false, nil)
-// when the formula is satisfiable but contradicts the assumptions; the
-// solver is NOT marked unsatisfiable in that case and later calls with
-// different assumptions see the same formula plus anything learned.
-// Learned clauses never depend on the assumptions themselves, so they
-// remain valid across calls — this is what makes an incremental sweep
-// (solve, add clauses, solve again under new assumptions) cheap.
-func (s *Solver) SolveAssuming(ctx context.Context, assumptions ...Lit) (bool, error) {
-	ok, err := s.solveAssuming(ctx, assumptions)
-	if err != nil {
-		s.Stats.Aborts++
-	}
-	return ok, err
-}
-
-type searchStatus int8
-
-const (
-	statusUndef searchStatus = iota
-	statusSAT
-	statusUNSAT
-	statusAssumpFalse
-)
-
-func (s *Solver) solveAssuming(ctx context.Context, assumps []Lit) (bool, error) {
 	if s.unsat {
 		return false, nil
-	}
-	for _, l := range assumps {
-		if l.Var() < 0 || l.Var() >= s.nVars {
-			panic(fmt.Sprintf("sat: assumption %v out of range", l))
-		}
 	}
 	// A previous aborted call may have left decisions on the trail; drop
 	// to level 0 so the top-level propagation below only ever proves
@@ -768,36 +722,38 @@ func (s *Solver) solveAssuming(ctx context.Context, assumps []Lit) (bool, error)
 	if s.maxLearnts <= 0 {
 		s.maxLearnts = 4000 + s.numProblem/2
 	}
-	restart := 1
-	for {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	for restart := 1; ; restart++ {
+		res, err := statusUndef, ctx.Err()
+		if err == nil {
+			res, err = s.search(ctx, 256*luby(restart))
 		}
-		budget := 256 * luby(restart)
-		res, err := s.search(ctx, budget, assumps)
-		if err != nil {
+		switch {
+		case err != nil:
+			s.Stats.Aborts++
 			return false, err
-		}
-		switch res {
-		case statusSAT:
+		case res == statusSAT:
 			return true, nil
-		case statusUNSAT:
+		case res == statusUNSAT:
 			s.unsat = true
-			return false, nil
-		case statusAssumpFalse:
-			s.backtrack(0)
 			return false, nil
 		}
 		s.backtrack(0)
 		s.Stats.Restarts++
-		restart++
 	}
 }
 
-// search runs CDCL until a model is found, unsatisfiability is proven
-// (with or without the assumptions), the conflict budget is exhausted
-// (statusUndef), or the context is cancelled (non-nil error).
-func (s *Solver) search(ctx context.Context, budget int, assumps []Lit) (searchStatus, error) {
+type searchStatus int8
+
+const (
+	statusUndef searchStatus = iota
+	statusSAT
+	statusUNSAT
+)
+
+// search runs CDCL until a model is found, unsatisfiability is proven,
+// the conflict budget is exhausted (statusUndef), or the context is
+// cancelled (non-nil error).
+func (s *Solver) search(ctx context.Context, budget int) (searchStatus, error) {
 	conflicts := 0
 	steps := 0
 	for {
@@ -848,23 +804,6 @@ func (s *Solver) search(ctx context.Context, budget int, assumps []Lit) (searchS
 		if s.numLearnts >= s.maxLearnts {
 			s.reduceDB()
 		}
-		// Assumptions are consumed as forced decisions, one per level;
-		// an already-true assumption still opens a (possibly empty)
-		// level so the remaining ones line up.
-		if len(s.lim) < len(assumps) {
-			p := assumps[len(s.lim)]
-			switch s.value(p) {
-			case lTrue:
-				s.lim = append(s.lim, len(s.trail))
-			case lFalse:
-				return statusAssumpFalse, nil
-			default:
-				s.Stats.Decisions++
-				s.lim = append(s.lim, len(s.trail))
-				s.enqueue(p, reasonNone)
-			}
-			continue
-		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			return statusSAT, nil // all variables assigned, no conflict
@@ -892,17 +831,6 @@ type varHeap struct {
 	heap []int // variable indices
 	pos  []int // position in heap, or -1
 	size int
-}
-
-func (h *varHeap) init(s *Solver) {
-	h.s = s
-}
-
-// grow extends the position table to cover variables below n.
-func (h *varHeap) grow(n int) {
-	for len(h.pos) < n {
-		h.pos = append(h.pos, -1)
-	}
 }
 
 func (h *varHeap) less(a, b int) bool {

@@ -85,7 +85,7 @@ type LabelRequest struct {
 
 	// Power forces synthesis at this anchor power instead of the spec's
 	// hinted attempts; WindowH and WindowW override the anchor window
-	// shape (0 selects DefaultWindow(Power)).
+	// shape (each 0 selects that side of DefaultWindow(Power)).
 	Power   int `json:"power,omitempty"`
 	WindowH int `json:"window_h,omitempty"`
 	WindowW int `json:"window_w,omitempty"`
@@ -256,18 +256,10 @@ func (e *Engine) planLabel(req LabelRequest) (*labelPlan, error) {
 		// Oracle specs carry no synthesis hint up front; windowed labeling
 		// tries the paper's oracle schedule in order and serves the first
 		// normal form that synthesizes.
-		attempts = oracleAttempts()
+		attempts = oracleAttempts(3)
 	}
 	if req.Power > 0 {
-		h, w := req.WindowH, req.WindowW
-		dh, dw := DefaultWindow(req.Power)
-		if h == 0 {
-			h = dh
-		}
-		if w == 0 {
-			w = dw
-		}
-		attempts = []SynthAttempt{{K: req.Power, H: h, W: w}}
+		attempts = []SynthAttempt{forcedAttempt(req.Power, req.WindowH, req.WindowW)}
 	}
 	if len(attempts) == 0 {
 		return fail(fmt.Errorf("lclgrid: problem %q has no normal-form synthesis hint (%s); windowed labeling serves table-backed problems only (or force a shape with \"power\")", req.Key, spec.HintSummary()))

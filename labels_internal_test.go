@@ -113,3 +113,35 @@ func FuzzLabelRequestJSON(f *testing.F) {
 		}
 	})
 }
+
+// TestForcedShapeDefaultsEachSide: a forced power with one window side
+// set keeps that side and defaults only the other, and /v1/solve and
+// /v1/labels bodies naming the same shape plan the same attempt.
+func TestForcedShapeDefaultsEachSide(t *testing.T) {
+	eng := NewEngine()
+	want := SynthAttempt{K: 2, H: 4, W: 3}
+
+	var sreq SolveRequest
+	if err := json.Unmarshal([]byte(`{"key":"5col","n":20,"power":2,"h":4}`), &sreq); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.Plan(sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atts := plan.Strategies[0].Attempts; len(atts) != 1 || (SynthAttempt{atts[0].K, atts[0].H, atts[0].W}) != want {
+		t.Errorf("/v1/solve plans %+v, want the single attempt %+v", atts, want)
+	}
+
+	var lreq LabelRequest
+	if err := json.Unmarshal([]byte(`{"key":"5col","n":20,"w":2,"h":2,"power":2,"window_h":4}`), &lreq); err != nil {
+		t.Fatal(err)
+	}
+	lp, err := eng.planLabel(lreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lp.attempts) != 1 || lp.attempts[0] != want {
+		t.Errorf("/v1/labels plans %+v, want the single attempt %+v", lp.attempts, want)
+	}
+}

@@ -255,29 +255,14 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 		if spec.Problem == nil {
 			return nil, fmt.Errorf("lclgrid: %s has no SFT form to synthesize against", spec.Name)
 		}
-		h, w := o.H, o.W
-		if h == 0 || w == 0 {
-			h, w = DefaultWindow(o.Power)
-		}
-		// A forced power is a demand for that normal form specifically:
-		// no baseline fallback.
-		pl.addSynthesisStages(plan, spec.Problem(), []SynthAttempt{{o.Power, h, w}},
-			fmt.Sprintf("synthesis forced by the request (power %d)", o.Power), false, nil)
+		pl.addForcedStage(plan, spec.Problem())
 		return plan, nil
 	}
 	switch {
 	case spec.Constant:
-		p := spec.Problem()
-		plan.Strategies = append(plan.Strategies, PlannedStrategy{
-			Kind:   StrategyConstant,
-			Solver: (&ConstantSolver{}).Name(),
-			Reason: "O(1): a constant label tiles the grid (§6)",
-			run: func(ctx context.Context) (*Result, error) {
-				return (&ConstantSolver{Problem: p}).Solve(ctx, t, ids, withOptions(o))
-			},
-		})
+		plan.Strategies = append(plan.Strategies, constantStage(spec.Problem(), t, ids, o))
 	case len(spec.Attempts) > 0:
-		pl.addSynthesisStages(plan, spec.Problem(), spec.Attempts, "", spec.Problem != nil, nil)
+		pl.addSynthesisStages(plan, spec.Problem(), spec.Attempts, "", spec.Problem != nil)
 	case spec.Direct != nil:
 		solver := spec.Direct(pl.e)
 		plan.Strategies = append(plan.Strategies, PlannedStrategy{
@@ -289,8 +274,7 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 			},
 		})
 	case spec.Baseline:
-		p := spec.Problem()
-		plan.Strategies = append(plan.Strategies, pl.baselineStage(p, t, ids, o,
+		plan.Strategies = append(plan.Strategies, baselineStage(spec.Problem(), t, ids, o,
 			func() Class { return spec.Class }, false,
 			"Θ(n) gather-and-solve is the registered strategy"))
 	case spec.Oracle:
@@ -315,31 +299,19 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 
 // planProblem builds the plan for an inline (possibly unregistered) SFT
 // problem: constant fill when a constant solution exists, otherwise the
-// cached one-sided oracle drives a synthesis stage with the Θ(n) brute
-// force as the fallback — including when a synthesized normal form
-// exists but needs a larger torus than the request asked for (the same
-// semantics as the registered-key path).
+// one-sided oracle drives a synthesis stage with the Θ(n) brute force as
+// the fallback — including when a synthesized normal form exists but
+// needs a larger torus than the request asked for (the same semantics as
+// the registered-key path).
 func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Plan, error) {
 	plan := &Plan{Problem: p.Name(), Class: ClassUnknown, Sides: t.Sides(), torus: t, ids: ids, opts: o}
 	if o.Power > 0 {
-		h, w := o.H, o.W
-		if h == 0 || w == 0 {
-			h, w = DefaultWindow(o.Power)
-		}
-		pl.addSynthesisStages(plan, p, []SynthAttempt{{o.Power, h, w}},
-			fmt.Sprintf("synthesis forced by the request (power %d)", o.Power), false, nil)
+		pl.addForcedStage(plan, p)
 		return plan, nil
 	}
 	if len(p.ConstantSolutions()) > 0 {
 		plan.Class = ClassO1
-		plan.Strategies = append(plan.Strategies, PlannedStrategy{
-			Kind:   StrategyConstant,
-			Solver: (&ConstantSolver{}).Name(),
-			Reason: "O(1): a constant label tiles the grid (§6)",
-			run: func(ctx context.Context) (*Result, error) {
-				return (&ConstantSolver{Problem: p}).Solve(ctx, t, ids, withOptions(o))
-			},
-		})
+		plan.Strategies = append(plan.Strategies, constantStage(p, t, ids, o))
 		return plan, nil
 	}
 
@@ -357,31 +329,42 @@ func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Pla
 		st.Skip = fmt.Sprintf("normal-form synthesis is implemented for 2-dimensional problems only; %s is %d-dimensional", p.Name(), p.Dims())
 		st.skipErr = fmt.Errorf("lclgrid: %s: %w", p.Name(), errNoNormalForm)
 	} else {
-		for _, shape := range core.OracleSchedule(o.MaxPower) {
-			st.Attempts = append(st.Attempts, pl.annotateAttempt(p, t, SynthAttempt{shape[0], shape[1], shape[2]}))
+		schedule := oracleAttempts(o.MaxPower)
+		for _, a := range schedule {
+			st.Attempts = append(st.Attempts, pl.annotateAttempt(p, t, a))
 		}
+		s := &SynthesisSolver{Problem: p, Engine: pl.e}
 		st.run = func(ctx context.Context) (*Result, error) {
-			oracle := pl.e.Classify(ctx, p, o.MaxPower)
-			if oracle.Err != nil {
-				return nil, oracle.Err
-			}
-			if oracle.Class != ClassLogStar {
+			// The whole schedule is walked regardless of fit: the first
+			// shape that synthesizes is the verdict, and only then does
+			// the torus decide whether it can run it.
+			alg, winner, cached, err := synthesizeFirst(ctx, schedule, s.synthesize)
+			switch {
+			case errors.Is(err, ErrUnsatisfiable):
 				return nil, fmt.Errorf("lclgrid: %s: %w", p.Name(), errNoNormalForm)
+			case err != nil:
+				return nil, err
 			}
 			knownClass = ClassLogStar
-			s := &SynthesisSolver{
-				Problem:  p,
-				Attempts: []SynthAttempt{{oracle.Alg.K, oracle.Alg.H, oracle.Alg.W}},
-				Engine:   pl.e,
+			if !attemptFits(t, winner) {
+				return nil, fmt.Errorf("lclgrid: no normal-form table for %s at the tried shapes: %w", p.Name(), core.TorusTooSmallError(winner.K, winner.H, winner.W))
 			}
-			return s.Solve(ctx, t, ids, withOptions(o))
+			return s.serve(t, ids, alg, winner, cached, &o)
 		}
 	}
 	plan.Strategies = append(plan.Strategies, st)
-	plan.Strategies = append(plan.Strategies, pl.baselineStage(p, t, ids, o,
+	plan.Strategies = append(plan.Strategies, baselineStage(p, t, ids, o,
 		func() Class { return knownClass }, true,
 		"Θ(n) gather-and-solve serves the problem when no normal form applies"))
 	return plan, nil
+}
+
+// addForcedStage plans a request that forces a power. It demands that
+// normal form specifically, so no baseline fallback follows it.
+func (pl *Planner) addForcedStage(plan *Plan, p *Problem) {
+	o := plan.opts
+	pl.addSynthesisStages(plan, p, []SynthAttempt{forcedAttempt(o.Power, o.H, o.W)},
+		fmt.Sprintf("synthesis forced by the request (power %d)", o.Power), false)
 }
 
 // annotateAttempt builds the PlanAttempt annotation for one shape.
@@ -405,7 +388,7 @@ func (pl *Planner) annotateAttempt(p *Problem, t *Torus, a SynthAttempt) PlanAtt
 // A cached table serves the request instantly, a cached UNSAT fails the
 // stage without SAT work, and either way the synthesis stage never
 // replays a shape the cached stage already resolved.
-func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAttempt, reason string, withFallback bool, classOf func() Class) {
+func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAttempt, reason string, withFallback bool) {
 	e := pl.e
 	t, ids, o := plan.torus, plan.ids, plan.opts
 	var cachedFit, uncached []SynthAttempt
@@ -477,12 +460,21 @@ func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAt
 		plan.Strategies = append(plan.Strategies, st)
 	}
 	if withFallback {
-		if classOf == nil {
-			cls := plan.Class
-			classOf = func() Class { return cls }
-		}
-		plan.Strategies = append(plan.Strategies, pl.baselineStage(p, t, ids, o, classOf, true,
+		cls := plan.Class
+		plan.Strategies = append(plan.Strategies, baselineStage(p, t, ids, o, func() Class { return cls }, true,
 			"Θ(n) gather-and-solve serves the problem when the normal form needs a larger torus"))
+	}
+}
+
+// constantStage builds the O(1) constant-fill stage.
+func constantStage(p *Problem, t *Torus, ids []int, o Options) PlannedStrategy {
+	return PlannedStrategy{
+		Kind:   StrategyConstant,
+		Solver: (&ConstantSolver{}).Name(),
+		Reason: "O(1): a constant label tiles the grid (§6)",
+		run: func(ctx context.Context) (*Result, error) {
+			return (&ConstantSolver{Problem: p}).Solve(ctx, t, ids, withOptions(o))
+		},
 	}
 }
 
@@ -490,7 +482,7 @@ func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAt
 // execution time so an earlier stage (the inline oracle) can refine the
 // class the baseline records; fallback gates the stage on a
 // too-small-torus (or no-normal-form) failure of the stage before it.
-func (pl *Planner) baselineStage(p *Problem, t *Torus, ids []int, o Options, classOf func() Class, fallback bool, reason string) PlannedStrategy {
+func baselineStage(p *Problem, t *Torus, ids []int, o Options, classOf func() Class, fallback bool, reason string) PlannedStrategy {
 	return PlannedStrategy{
 		Kind:     StrategyBaseline,
 		Solver:   (&GlobalSolver{}).Name(),

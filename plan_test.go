@@ -466,3 +466,65 @@ func TestPlanInlineProblem(t *testing.T) {
 		t.Errorf("3-d trace = %+v, want [synthesis skipped, baseline ok]", res3.Trace)
 	}
 }
+
+// TestInlineColdSolveIsNoCacheHit: the oracle stage looks each shape up
+// once, so a cold inline solve reports no cache hit and counts none;
+// only a repeat of the same request is served from the cache.
+func TestInlineColdSolveIsNoCacheHit(t *testing.T) {
+	var c lclgrid.CountingObserver
+	eng := lclgrid.NewEngine(lclgrid.WithObserver(&c))
+	spec, err := eng.Registry().Lookup("5col")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := lclgrid.SolveRequest{ProblemDef: lclgrid.NewProblemDef(spec.Problem()), N: 20}
+	res, err := eng.Solve(bg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Error("cold inline solve reports cache_hit")
+	}
+	if st := eng.CacheStats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("cold inline solve: hits=%d misses=%d, want 0 and 1", st.Hits, st.Misses)
+	}
+	if got := c.Counts().CacheHits; got != 0 {
+		t.Errorf("cold inline solve emitted %d cache-hit events, want 0", got)
+	}
+	again, err := eng.Solve(bg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Error("repeated inline solve does not report cache_hit")
+	}
+}
+
+// TestInlineWinnerTooBigFallsBack: when the oracle's winning shape needs
+// a larger torus than the request's, the synthesis stage fails with the
+// too-small error and the baseline serves the request as a Θ(log* n)
+// problem. 4col's first table is k=3 7x5, which needs side 28.
+func TestInlineWinnerTooBigFallsBack(t *testing.T) {
+	eng := lclgrid.NewEngine()
+	spec, err := eng.Registry().Lookup("4col")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := lclgrid.NewProblemDef(spec.Problem())
+	res, err := eng.Solve(bg, lclgrid.SolveRequest{ProblemDef: def, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) != 2 ||
+		res.Trace[0].Strategy != lclgrid.StrategySynthesis || res.Trace[0].Outcome != lclgrid.TraceFailed ||
+		res.Trace[1].Strategy != lclgrid.StrategyBaseline || res.Trace[1].Outcome != lclgrid.TraceOK {
+		t.Fatalf("trace = %+v, want [synthesis failed, baseline ok]", res.Trace)
+	}
+	if res.Class != lclgrid.ClassLogStar {
+		t.Errorf("class = %v, want Θ(log* n)", res.Class)
+	}
+	const detail = "lclgrid: no normal-form table for 4-colouring at the tried shapes: core: torus too small for this normal form: side must be at least 28 for k=3, 7x5 windows"
+	if res.Trace[0].Detail != detail {
+		t.Errorf("synthesis detail = %q, want %q", res.Trace[0].Detail, detail)
+	}
+}

@@ -340,11 +340,12 @@ func userKey(fingerprint string) string {
 	return UserKeyPrefix + fp
 }
 
-// oracleAttempts returns the synthesis shapes an oracle-classified spec
-// warms and labels through: the one-sided oracle's (k, h, w) schedule
-// up to the default power budget, tried smallest first.
-func oracleAttempts() []SynthAttempt {
-	shapes := core.OracleSchedule(3)
+// oracleAttempts returns the one-sided oracle's (k, h, w) schedule for
+// powers 1..maxK, smallest first: the shapes an inline problem is
+// classified through, and an oracle-classified spec warms and labels
+// through at the default power budget of 3.
+func oracleAttempts(maxK int) []SynthAttempt {
+	shapes := core.OracleSchedule(maxK)
 	attempts := make([]SynthAttempt, len(shapes))
 	for i, s := range shapes {
 		attempts[i] = SynthAttempt{K: s[0], H: s[1], W: s[2]}

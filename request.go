@@ -54,7 +54,8 @@ type SolveRequest struct {
 	// definition (verification is on by default).
 	NoVerify bool `json:"no_verify,omitempty"`
 	// Power forces the synthesis path with this anchor power; H and W
-	// override the anchor window shape (0 selects DefaultWindow(Power)).
+	// override the anchor window shape (each 0 selects that side of
+	// DefaultWindow(Power)).
 	Power int `json:"power,omitempty"`
 	H     int `json:"h,omitempty"`
 	W     int `json:"w,omitempty"`

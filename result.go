@@ -132,8 +132,8 @@ type Options struct {
 	// Power forces the synthesis path with this anchor power; 0 keeps
 	// the solver's default strategy.
 	Power int
-	// H, W override the anchor window shape when Power is set; 0 selects
-	// DefaultWindow(Power).
+	// H, W override the anchor window shape when Power is set; each 0
+	// selects that side of DefaultWindow(Power).
 	H, W int
 	// MaxPower bounds the powers tried by auto-classification solvers
 	// (default 3, the paper's largest).

@@ -79,12 +79,22 @@ type SynthesisSolver struct {
 }
 
 // NewSynthesisSolver returns a solver trying the single shape (k, h, w);
-// h = w = 0 selects DefaultWindow(k).
+// an h or w of 0 takes that side of DefaultWindow(k).
 func NewSynthesisSolver(e *Engine, p *Problem, k, h, w int) *SynthesisSolver {
-	if h == 0 || w == 0 {
-		h, w = DefaultWindow(k)
+	return &SynthesisSolver{Problem: p, Attempts: []SynthAttempt{forcedAttempt(k, h, w)}, Engine: e}
+}
+
+// forcedAttempt resolves the shape a forced power k names: h and w
+// default separately, each 0 selecting that side of DefaultWindow(k).
+func forcedAttempt(k, h, w int) SynthAttempt {
+	dh, dw := DefaultWindow(k)
+	if h == 0 {
+		h = dh
 	}
-	return &SynthesisSolver{Problem: p, Attempts: []SynthAttempt{{k, h, w}}, Engine: e}
+	if w == 0 {
+		w = dw
+	}
+	return SynthAttempt{K: k, H: h, W: w}
 }
 
 // Name implements Solver.
@@ -100,13 +110,13 @@ func (s *SynthesisSolver) synthesize(ctx context.Context, a SynthAttempt) (*core
 }
 
 // synthesizeFirst is the one shape sweep behind every multi-shape
-// synthesis — SynthesisSolver (with or without an engine), LabelWindow,
-// ExportGrid and Engine.Warm. It tries the attempts strictly in schedule
-// order through synth and returns the first that admits a lookup table,
-// so which normal form serves depends only on the attempts, never on
-// timing or parallelism. A cancelled ctx returns its error at once; when
-// no shape succeeds, the error is the first failure in schedule order.
-// attempts must be non-empty.
+// synthesis — the planner's oracle stage, SynthesisSolver (with or
+// without an engine), LabelWindow, ExportGrid and Engine.Warm. It tries
+// the attempts strictly in schedule order through synth and returns the
+// first that admits a lookup table, so which normal form serves depends
+// only on the attempts, never on timing or parallelism. A cancelled ctx
+// returns its error at once; when no shape succeeds, the error is the
+// first failure in schedule order. attempts must be non-empty.
 func synthesizeFirst(ctx context.Context, attempts []SynthAttempt, synth func(context.Context, SynthAttempt) (*Synthesized, bool, error)) (*Synthesized, SynthAttempt, bool, error) {
 	var firstErr error
 	for _, a := range attempts {
@@ -140,11 +150,7 @@ func (s *SynthesisSolver) Solve(ctx context.Context, t *Torus, ids []int, opts .
 	o := buildOptions(opts)
 	attempts := s.Attempts
 	if o.Power > 0 {
-		h, w := o.H, o.W
-		if h == 0 || w == 0 {
-			h, w = DefaultWindow(o.Power)
-		}
-		attempts = []SynthAttempt{{o.Power, h, w}}
+		attempts = []SynthAttempt{forcedAttempt(o.Power, o.H, o.W)}
 	}
 	if len(attempts) == 0 {
 		// A solver nobody gave attempt shapes to has not proven anything
@@ -179,7 +185,12 @@ func (s *SynthesisSolver) Solve(ctx context.Context, t *Torus, ids []int, opts .
 		}
 		return nil, fmt.Errorf("lclgrid: no normal-form table for %s at the tried shapes: %w", s.Problem.Name(), err)
 	}
+	return s.serve(t, ids, alg, winner, cached, &o)
+}
 
+// serve runs the normal form synthesized for the winner shape on the
+// torus and returns the Result, verified unless o turns that off.
+func (s *SynthesisSolver) serve(t *Torus, ids []int, alg *Synthesized, winner SynthAttempt, cached bool, o *Options) (*Result, error) {
 	out, rounds, err := alg.Run(t, fillIDs(t, ids))
 	if err != nil {
 		return nil, err
@@ -193,7 +204,7 @@ func (s *SynthesisSolver) Solve(ctx context.Context, t *Torus, ids []int, opts .
 		CacheHit: cached,
 		Note:     fmt.Sprintf("k=%d window %dx%d, %d tiles", winner.K, winner.H, winner.W, alg.Graph.NumTiles()),
 	}
-	if err := verifyInto(s.Problem, t, res, &o); err != nil {
+	if err := verifyInto(s.Problem, t, res, o); err != nil {
 		return res, err
 	}
 	return res, nil

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -268,7 +269,7 @@ func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
 		return "", "", false
 	}
 	traceID, spanID = h[3:35], h[36:52]
-	if !isHexID(traceID, 32) || !isHexID(spanID, 16) || !isHexID(h[53:], 2) {
+	if !isHexID(traceID, 32) || !isHexID(spanID, 16) || !isHex(h[53:], 2) {
 		return "", "", false
 	}
 	return traceID, spanID, true
@@ -277,20 +278,22 @@ func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
 // isHexID reports whether s is exactly n lowercase-hex characters and
 // not all zero (the traceparent spec's invalid id).
 func isHexID(s string, n int) bool {
+	return isHex(s, n) && strings.Trim(s, "0") != ""
+}
+
+// isHex reports whether s is exactly n lowercase-hex characters. The
+// trace-flags field is checked with it alone: flags 00 (not sampled)
+// are valid.
+func isHex(s string, n int) bool {
 	if len(s) != n {
 		return false
 	}
-	zero := true
 	for i := 0; i < n; i++ {
-		switch ch := s[i]; {
-		case ch >= '1' && ch <= '9', ch >= 'a' && ch <= 'f':
-			zero = false
-		case ch == '0':
-		default:
+		if ch := s[i]; (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
 			return false
 		}
 	}
-	return !zero
+	return true
 }
 
 // --- context plumbing -------------------------------------------------------

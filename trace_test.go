@@ -16,12 +16,17 @@ import (
 )
 
 // TestParseTraceparent pins the W3C traceparent acceptance surface: only
-// version 00 with non-zero lowercase-hex ids parses, and a span's own
-// Traceparent round-trips through the parser.
+// version 00 with non-zero lowercase-hex ids and lowercase-hex flags
+// parses, and a span's own Traceparent round-trips through the parser.
 func TestParseTraceparent(t *testing.T) {
-	tid, sid, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
-	if !ok || tid != "0af7651916cd43dd8448eb211c80319c" || sid != "b7ad6b7169203331" {
-		t.Fatalf("valid traceparent rejected: tid=%q sid=%q ok=%v", tid, sid, ok)
+	for _, h := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00", // not sampled
+	} {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok || tid != "0af7651916cd43dd8448eb211c80319c" || sid != "b7ad6b7169203331" {
+			t.Fatalf("valid traceparent %q rejected: tid=%q sid=%q ok=%v", h, tid, sid, ok)
+		}
 	}
 
 	rejects := []string{
@@ -42,7 +47,7 @@ func TestParseTraceparent(t *testing.T) {
 
 	tr := StartTrace("serve", "/v1/solve")
 	tp := tr.Root().Traceparent()
-	tid, sid, ok = ParseTraceparent(tp)
+	tid, sid, ok := ParseTraceparent(tp)
 	if !ok || tid != tr.ID() {
 		t.Fatalf("own traceparent %q does not round-trip (tid=%q ok=%v)", tp, tid, ok)
 	}
@@ -56,6 +61,30 @@ func TestParseTraceparent(t *testing.T) {
 	if !isHexID(j.ID(), 32) {
 		t.Fatalf("JoinTrace with bad trace id produced id %q", j.ID())
 	}
+}
+
+// FuzzParseTraceparent: an accepted header has non-zero lowercase-hex
+// ids, and re-rendering it from the parsed fields reproduces it exactly.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00")
+	f.Add("00-00000000000000000000000000000000-b7ad6b7169203331-01")
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		for _, id := range []string{tid, sid} {
+			if strings.Trim(id, "0123456789abcdef") != "" || strings.Trim(id, "0") == "" {
+				t.Fatalf("ParseTraceparent(%q) accepted id %q, want non-zero lowercase hex", h, id)
+			}
+		}
+		if again := "00-" + tid + "-" + sid + "-" + h[53:]; again != h {
+			t.Fatalf("ParseTraceparent(%q) re-renders as %q", h, again)
+		}
+	})
 }
 
 // TestNilSpanSafety checks the untraced path really is a no-op: every
