@@ -116,6 +116,37 @@ func BenchmarkAnchorsK3(b *testing.B) {
 	}
 }
 
+// BenchmarkAnchorsK1 times S_k at n=40, k=1, whose Linial schedule
+// runs two reduction rounds before a 121-class MIS sweep (AnchorsK3 at
+// n=64 runs one round, then sweeps 2809 classes).
+func BenchmarkAnchorsK1(b *testing.B) {
+	g := lclgrid.Square(40)
+	ids := lclgrid.PermutedIDs(g.N(), 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var r lclgrid.Rounds
+		lclgrid.Anchors(g, 1, lclgrid.L1, ids, &r)
+	}
+}
+
+// BenchmarkLMHaltDirect times a repeated Engine.Solve of lm:halt at
+// n=12: the direct stage (the §6 lattice construction and its
+// verification), which needs no synthesis and so no cache.
+func BenchmarkLMHaltDirect(b *testing.B) {
+	ctx := context.Background()
+	eng := lclgrid.NewEngine()
+	req := lclgrid.SolveRequest{Key: "lm:halt", N: 12, Seed: 1}
+	if _, err := eng.Solve(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Solve(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNormalForm4ColouringApply(b *testing.B) {
 	alg, err := lclgrid.Synthesize(context.Background(), lclgrid.VertexColoring(4, 2), 3, 7, 5)
 	if err != nil {

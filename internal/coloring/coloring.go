@@ -195,7 +195,7 @@ func LinialColor(g local.Graph, ids []int, idSpace int, r *local.Rounds) ([]int,
 			// No further progress possible.
 			break
 		}
-		colors = linialStep(g, colors, maxDeg, d, q)
+		colors = linialStep(g, colors, maxDeg, d, q, maxDigitTable)
 		m = q * q
 		rounds++
 	}
@@ -205,19 +205,45 @@ func LinialColor(g local.Graph, ids []int, idSpace int, r *local.Rounds) ([]int,
 	return colors, m
 }
 
-// linialStep performs one colour-reduction round: every node makes its
-// LinialChooser choice from its own and its neighbours' colours.
-func linialStep(g local.Graph, colors []int, maxDeg, d, q int) []int {
+// maxDigitTable bounds linialStep's per-round digit table, in digits:
+// 4 MiB of uint32s, about 200k nodes at d = 4. At the 2^20-node request
+// bound a full table would raise a solve's peak RSS by about 70%.
+const maxDigitTable = 1 << 20
+
+// linialStep performs one colour-reduction round: every node picks its
+// new colour with firstSeparating, the choice rule LinialChooser.Choose
+// applies to single nodes. When the graph's n·(d+1) digits fit in
+// maxTable, every colour is converted to its base-q digits once per
+// round into a table; otherwise each node converts its own and its
+// neighbours' colours as it visits them. A digit is below q, and a round
+// runs only while q² < m, so q < 2^32 and digits fit a uint32.
+func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 	n := g.N()
-	next := make([]int, n)
-	var lc LinialChooser
-	nbrs := make([]int, 0, maxDeg)
-	for v := 0; v < n; v++ {
-		nbrs = nbrs[:0]
-		for i := 0; i < g.Degree(v); i++ {
-			nbrs = append(nbrs, colors[g.Neighbor(v, i)])
+	k := d + 1
+	var table []uint32
+	if n*k <= maxTable {
+		table = make([]uint32, n*k)
+		for v, c := range colors {
+			toDigits(c, q, table[v*k:(v+1)*k])
 		}
-		c := lc.Choose(colors[v], nbrs, d, q)
+	}
+	next := make([]int, n)
+	buf := make([]uint32, (maxDeg+1)*k)
+	for v := 0; v < n; v++ {
+		// Segment 0 holds the node's digits, segment i its (i-1)-th
+		// neighbour's.
+		deg := g.Degree(v)
+		for i, u := 0, v; i <= deg; i++ {
+			if i > 0 {
+				u = g.Neighbor(v, i-1)
+			}
+			if table != nil {
+				copy(buf[i*k:(i+1)*k], table[u*k:(u+1)*k])
+			} else {
+				toDigits(colors[u], q, buf[i*k:(i+1)*k])
+			}
+		}
+		c := firstSeparating(buf[:(deg+1)*k], k, q)
 		if c < 0 {
 			panic(fmt.Sprintf("coloring: no good evaluation point at node %d (q=%d, d=%d)", v, q, d))
 		}
@@ -226,11 +252,30 @@ func linialStep(g local.Graph, colors []int, maxDeg, d, q int) []int {
 	return next
 }
 
+// firstSeparating is the choice rule of one Linial step. digits holds
+// the node's k = d+1 base-q digits at [0, k) and each neighbour's at the
+// following k-digit segments. It returns x*q + p(x) for the smallest
+// evaluation point x at which the node's polynomial p differs from every
+// neighbour's, or -1 when no x in [0, q) separates them.
+func firstSeparating(digits []uint32, k, q int) int {
+candidates:
+	for x := 0; x < q; x++ {
+		pv := evalPoly(digits[:k], x, q)
+		for j := k; j < len(digits); j += k {
+			if evalPoly(digits[j:j+k], x, q) == pv {
+				continue candidates
+			}
+		}
+		return x*q + pv
+	}
+	return -1
+}
+
 // toDigits writes the base-q digits of c into out (least significant
 // first).
-func toDigits(c, q int, out []int) {
+func toDigits(c, q int, out []uint32) {
 	for i := range out {
-		out[i] = c % q
+		out[i] = uint32(c % q)
 		c /= q
 	}
 	if c != 0 {
@@ -240,10 +285,10 @@ func toDigits(c, q int, out []int) {
 
 // evalPoly evaluates the polynomial with the given coefficients (degree
 // ordered low to high) at x over F_q.
-func evalPoly(coeffs []int, x, q int) int {
+func evalPoly(coeffs []uint32, x, q int) int {
 	acc := 0
 	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % q
+		acc = (acc*x + int(coeffs[i])) % q
 	}
 	return acc
 }
@@ -271,8 +316,9 @@ func LinialSchedule(idSpace, maxDeg int) (params [][2]int, finalColors int) {
 // reduction steps. Choose takes the node's own colour and its
 // neighbours' colours in the pre-step colour space and returns the
 // smallest evaluation point x on which the node's polynomial differs
-// from every neighbour's, encoded as x*q + p(x). linialStep makes every
-// node's choice through it, so a windowed evaluator that calls it
+// from every neighbour's, encoded as x*q + p(x). Choose and linialStep
+// share one choice rule (firstSeparating) and differ only in when they
+// convert colours to digits, so a windowed evaluator that calls Choose
 // computes exactly the colour LinialColor does. It returns -1 when no
 // evaluation point separates the node, which cannot happen for a proper
 // colouring with q > maxDeg·d.
@@ -280,7 +326,7 @@ func LinialSchedule(idSpace, maxDeg int) (params [][2]int, finalColors int) {
 // The zero value is ready to use. A chooser reuses one digit buffer
 // across calls, so it is not safe for concurrent use.
 type LinialChooser struct {
-	digits []int
+	digits []uint32
 }
 
 // Choose returns the node's new colour (see LinialChooser).
@@ -288,7 +334,7 @@ func (lc *LinialChooser) Choose(own int, nbrs []int, d, q int) int {
 	k := d + 1
 	need := (len(nbrs) + 1) * k
 	if cap(lc.digits) < need {
-		lc.digits = make([]int, need)
+		lc.digits = make([]uint32, need)
 	}
 	// Digits are converted once per node: the node's at [0, k), neighbour
 	// i's at [(i+1)k, (i+2)k).
@@ -297,17 +343,7 @@ func (lc *LinialChooser) Choose(own int, nbrs []int, d, q int) int {
 	for i, c := range nbrs {
 		toDigits(c, q, digits[(i+1)*k:(i+2)*k])
 	}
-candidates:
-	for x := 0; x < q; x++ {
-		pv := evalPoly(digits[:k], x, q)
-		for j := k; j < need; j += k {
-			if evalPoly(digits[j:j+k], x, q) == pv {
-				continue candidates
-			}
-		}
-		return x*q + pv
-	}
-	return -1
+	return firstSeparating(digits, k, q)
 }
 
 // --- Greedy reduction and MIS sweeps -------------------------------------
@@ -323,10 +359,11 @@ func GreedyReduce(g local.Graph, colors []int, from, target int, r *local.Rounds
 	}
 	out := make([]int, len(colors))
 	copy(out, colors)
-	buckets := bucketize(out, from)
+	order, starts := colorClasses(out, from)
+	taken := make([]bool, target)
 	for c := from - 1; c >= target; c-- {
-		for _, v := range buckets[c] {
-			out[v] = smallestFree(g, out, v, target)
+		for _, v := range order[starts[c]:starts[c+1]] {
+			out[v] = smallestFree(g, out, int(v), taken)
 		}
 	}
 	if r != nil {
@@ -335,20 +372,27 @@ func GreedyReduce(g local.Graph, colors []int, from, target int, r *local.Rounds
 	return out
 }
 
-// smallestFree returns the smallest colour in [0, limit) not used by any
-// neighbour of v.
-func smallestFree(g local.Graph, colors []int, v, limit int) int {
+// smallestFree returns the smallest colour in [0, len(taken)) not used by
+// any neighbour of v. taken is scratch space, all false on entry and on
+// return.
+func smallestFree(g local.Graph, colors []int, v int, taken []bool) int {
 	deg := g.Degree(v)
-	taken := make(map[int]bool, deg)
 	for i := 0; i < deg; i++ {
-		taken[colors[g.Neighbor(v, i)]] = true
-	}
-	for c := 0; c < limit; c++ {
-		if !taken[c] {
-			return c
+		if c := colors[g.Neighbor(v, i)]; c < len(taken) {
+			taken[c] = true
 		}
 	}
-	panic("coloring: no free colour (degree bound violated)")
+	free := -1
+	for c := range taken {
+		if !taken[c] && free < 0 {
+			free = c
+		}
+		taken[c] = false
+	}
+	if free < 0 {
+		panic("coloring: no free colour (degree bound violated)")
+	}
+	return free
 }
 
 // MISFromColoring computes a maximal independent set of g by sweeping the
@@ -356,19 +400,20 @@ func smallestFree(g local.Graph, colors []int, v, limit int) int {
 // when its round arrives and no neighbour has joined. numColors rounds.
 func MISFromColoring(g local.Graph, colors []int, numColors int, r *local.Rounds) []bool {
 	inSet := make([]bool, g.N())
-	buckets := bucketize(colors, numColors)
-	for c := 0; c < numColors; c++ {
-		for _, v := range buckets[c] {
-			join := true
-			for i := 0; i < g.Degree(v); i++ {
-				if inSet[g.Neighbor(v, i)] {
-					join = false
-					break
-				}
+	order, _ := colorClasses(colors, numColors)
+	// The classes act in increasing colour order, so the sweep is one
+	// pass over order.
+	for _, v32 := range order {
+		v := int(v32)
+		join := true
+		for i, deg := 0, g.Degree(v); i < deg; i++ {
+			if inSet[g.Neighbor(v, i)] {
+				join = false
+				break
 			}
-			if join {
-				inSet[v] = true
-			}
+		}
+		if join {
+			inSet[v] = true
 		}
 	}
 	if r != nil {
@@ -377,15 +422,28 @@ func MISFromColoring(g local.Graph, colors []int, numColors int, r *local.Rounds
 	return inSet
 }
 
-func bucketize(colors []int, numColors int) [][]int {
-	buckets := make([][]int, numColors)
-	for v, c := range colors {
+// colorClasses sorts the nodes by colour with one counting sort: class c
+// is order[starts[c]:starts[c+1]], its nodes in increasing index order.
+func colorClasses(colors []int, numColors int) (order []int32, starts []int) {
+	starts = make([]int, numColors+1)
+	for _, c := range colors {
 		if c < 0 || c >= numColors {
 			panic(fmt.Sprintf("coloring: colour %d out of range [0,%d)", c, numColors))
 		}
-		buckets[c] = append(buckets[c], v)
+		starts[c]++
 	}
-	return buckets
+	for c := 1; c <= numColors; c++ {
+		starts[c] += starts[c-1]
+	}
+	// starts[c] is now the end of class c; filling each class from its
+	// end, in decreasing node order, leaves it at its start.
+	order = make([]int32, len(colors))
+	for v := len(colors) - 1; v >= 0; v-- {
+		c := colors[v]
+		starts[c]--
+		order[starts[c]] = int32(v)
+	}
+	return order, starts
 }
 
 // --- Anchors: the problem-independent component S_k ----------------------
@@ -418,8 +476,8 @@ func AnchorsIDSpace(t *grid.Torus, k int, norm grid.Norm, ids []int, idSpace int
 // a given torus size and power, for reporting purposes: the Linial
 // iteration count plus the sweep length, times the simulation overhead.
 func MISRoundsUpperBound(t *grid.Torus, k int, norm grid.Norm) int {
-	p := grid.NewPower(t, k, norm)
-	maxDeg := local.MaxDegree(p)
+	// Every node of the power graph has degree len(BallOffsets).
+	maxDeg := len(t.BallOffsets(k, norm))
 	m := t.N() + 1
 	iters := 0
 	for {
@@ -430,7 +488,7 @@ func MISRoundsUpperBound(t *grid.Torus, k int, norm grid.Norm) int {
 		m = q * q
 		iters++
 	}
-	return (iters + m) * p.SimulationOverhead()
+	return (iters + m) * grid.SimulationOverhead(t.Dim(), k, norm)
 }
 
 // --- Verification helpers -------------------------------------------------

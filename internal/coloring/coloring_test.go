@@ -154,6 +154,40 @@ func TestLinialColorPowerGraph(t *testing.T) {
 	}
 }
 
+// TestLinialStepTableMatchesPerVisit checks that linialStep picks the
+// same colours whether it converts digits through its per-round table
+// or per visit (graphs above maxDigitTable), over every round of the
+// schedule, on tori and a power graph.
+func TestLinialStepTableMatchesPerVisit(t *testing.T) {
+	for _, tc := range []struct {
+		sides []int
+		k     int
+	}{{[]int{40, 40}, 1}, {[]int{60, 50}, 2}, {[]int{97}, 1}, {[]int{5, 6, 7}, 1}} {
+		tor, err := grid.New(tc.sides...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := grid.NewPower(tor, tc.k, grid.L1)
+		maxDeg := local.MaxDegree(p)
+		colors := local.PermutedIDs(p.N(), 3)
+		params, _ := LinialSchedule(p.N(), maxDeg)
+		if len(params) == 0 {
+			t.Fatalf("%v k=%d: no Linial round", tc.sides, tc.k)
+		}
+		for round, dq := range params {
+			d, q := dq[0], dq[1]
+			table := linialStep(p, colors, maxDeg, d, q, p.N()*(d+1))
+			perVisit := linialStep(p, colors, maxDeg, d, q, 0)
+			for v := range table {
+				if table[v] != perVisit[v] {
+					t.Fatalf("%v k=%d round %d node %d: table %d, per visit %d", tc.sides, tc.k, round, v, table[v], perVisit[v])
+				}
+			}
+			colors = table
+		}
+	}
+}
+
 func TestGreedyReduce(t *testing.T) {
 	g := grid.Square(10)
 	ids := local.PermutedIDs(g.N(), 11)

@@ -271,27 +271,37 @@ func (s *Synthesized) Run(t *grid.Torus, ids []int) ([]int, *local.Rounds, error
 // anchor set: every node looks up its window pattern in the table. The
 // probe goes through the integer-keyed tile index (zero allocations per
 // node); windows wider than 64 bits fall back to the string-keyed index.
+// The cells are read through wrapped column and row tables built once
+// per call, with no division per cell.
 func (s *Synthesized) Apply(t *grid.Torus, anchors []bool) ([]int, error) {
 	out := make([]int, t.N())
 	if idx, ok := s.Graph.BitIndex(); ok {
-		nx := t.NX()
-		for v := 0; v < t.N(); v++ {
-			x, y := v%nx, v/nx
-			var key uint64
-			bit := 0
-			for r := 0; r < s.H; r++ {
-				for c := 0; c < s.W; c++ {
-					if anchors[t.At(x-s.OffC+c, y+s.OffR-r)] {
-						key |= 1 << bit
+		nx, ny := t.NX(), t.NY()
+		// Window cell (r, c) of node (x, y) is (x-OffC+c, y+OffR-r):
+		// column x+c of cols and row y+H-1-r of rows.
+		cols := t.Wrapped(0, -s.OffC, nx+s.W-1)
+		rows := t.Wrapped(1, s.OffR-s.H+1, ny+s.H-1)
+		v := 0
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				var key uint64
+				bit := 0
+				for r := 0; r < s.H; r++ {
+					row := rows[y+s.H-1-r]
+					for _, col := range cols[x : x+s.W] {
+						if anchors[row+col] {
+							key |= 1 << bit
+						}
+						bit++
 					}
-					bit++
 				}
+				ti, found := idx[key]
+				if !found {
+					return nil, notTileError(s, key, v)
+				}
+				out[v] = s.Table[ti]
+				v++
 			}
-			ti, found := idx[key]
-			if !found {
-				return nil, notTileError(s, key, v)
-			}
-			out[v] = s.Table[ti]
 		}
 		return out, nil
 	}

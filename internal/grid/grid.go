@@ -216,25 +216,21 @@ func (t *Torus) BallOffsets(k int, norm Norm) [][]int {
 		return nil
 	}
 	var out [][]int
-	seen := make(map[string]bool)
+	// Offsets are told apart by the node they reach from node 0, the
+	// index Σ canon[i]·strides[i] of their canonical form.
+	seen := make(map[int]bool)
 	off := make([]int, len(t.dims))
 	var rec func(dim, budget int)
 	rec = func(dim, budget int) {
 		if dim == len(t.dims) {
-			canon := make([]int, len(off))
-			key := ""
-			zero := true
+			key := 0
 			for i, o := range off {
 				d := t.dims[i]
-				canon[i] = ((o % d) + d) % d
-				if canon[i] != 0 {
-					zero = false
-				}
-				key += fmt.Sprintf("%d,", canon[i])
+				key += ((o%d + d) % d) * t.strides[i]
 			}
 			// Offsets that canonicalise to zero reach the node itself on
 			// this torus (wrapped balls) and are excluded.
-			if zero || seen[key] {
+			if key == 0 || seen[key] {
 				return
 			}
 			seen[key] = true
@@ -263,14 +259,47 @@ func (t *Torus) BallOffsets(k int, norm Norm) [][]int {
 	return out
 }
 
+// Wrapped returns, for each coordinate c in [lo, lo+count) of dimension
+// dim, the stride-scaled index of c wrapped onto the torus: entry i is
+// the node-index contribution of coordinate lo+i, so a node's index is
+// the sum of one entry per dimension. Only the first entry costs a
+// division; loops over a materialised torus read their wrapped cells
+// from these tables instead of calling Index or Move per cell.
+func (t *Torus) Wrapped(dim, lo, count int) []int {
+	side, stride := t.dims[dim], t.strides[dim]
+	out := make([]int, count)
+	c := (lo%side + side) % side
+	for i := range out {
+		out[i] = c * stride
+		if c++; c == side {
+			c = 0
+		}
+	}
+	return out
+}
+
 // Power is the k-th power of a torus under a norm: same node set, with u
 // and v adjacent iff their distance is at most k. It implements the
-// local.Graph interface.
+// local.Graph interface; neighbour i of every node is the one at
+// BallOffsets(k, norm)[i].
+//
+// Neighbor runs without division: NewPower stores every node's
+// coordinates, one int32 column per dimension filled by an odometer
+// walk, and one Wrapped table per dimension covering the coordinates
+// [-k, side+k) an offset can reach. A neighbour is the sum of one table
+// entry per dimension. The tables take O(n·d) memory (8 B/node in two
+// dimensions) and live only as long as the Power.
 type Power struct {
 	t    *Torus
 	k    int
 	norm Norm
 	offs [][]int
+	// coords[dim][v] is v's coordinate in dimension dim; wrapped[dim][c+k]
+	// is the stride-scaled index of coordinate c; shift[i*d+dim] is
+	// offs[i][dim]+k.
+	coords  [][]int32
+	wrapped [][]int
+	shift   []int
 }
 
 // NewPower constructs the k-th power of t under the given norm. k must be
@@ -279,7 +308,33 @@ func NewPower(t *Torus, k int, norm Norm) *Power {
 	if k < 1 {
 		panic("grid: power exponent must be >= 1")
 	}
-	return &Power{t: t, k: k, norm: norm, offs: t.BallOffsets(k, norm)}
+	d := t.Dim()
+	p := &Power{t: t, k: k, norm: norm, offs: t.BallOffsets(k, norm)}
+	p.shift = make([]int, 0, len(p.offs)*d)
+	for _, off := range p.offs {
+		for _, o := range off {
+			p.shift = append(p.shift, o+k)
+		}
+	}
+	p.coords = make([][]int32, d)
+	p.wrapped = make([][]int, d)
+	for dim := range p.coords {
+		p.coords[dim] = make([]int32, t.n)
+		p.wrapped[dim] = t.Wrapped(dim, -k, t.dims[dim]+2*k)
+	}
+	c := make([]int32, d)
+	for v := 0; v < t.n; v++ {
+		for dim, x := range c {
+			p.coords[dim][v] = x
+		}
+		for dim := range c {
+			if c[dim]++; int(c[dim]) < t.dims[dim] {
+				break
+			}
+			c[dim] = 0
+		}
+	}
+	return p
 }
 
 // Base returns the underlying torus.
@@ -297,18 +352,33 @@ func (p *Power) N() int { return p.t.N() }
 // Degree returns the degree of v in the power graph.
 func (p *Power) Degree(int) int { return len(p.offs) }
 
-// Neighbor returns the i-th neighbor of v in the power graph.
-func (p *Power) Neighbor(v, i int) int { return p.t.ShiftVec(v, p.offs[i]) }
+// Neighbor returns the i-th neighbor of v in the power graph, the node
+// ShiftVec(v, BallOffsets(k, norm)[i]).
+func (p *Power) Neighbor(v, i int) int {
+	d := len(p.coords)
+	u := 0
+	for dim, s := range p.shift[i*d : i*d+d] {
+		u += p.wrapped[dim][int(p.coords[dim][v])+s]
+	}
+	return u
+}
 
 // SimulationOverhead returns the multiplicative round overhead of
 // simulating one round of an algorithm on this power graph with messages
-// on the underlying torus: k for the L1 norm and k·d for L∞ (the paper's
-// ‖·‖1 ≤ d‖·‖∞ bound, §8).
+// on the underlying torus (see the package function SimulationOverhead).
 func (p *Power) SimulationOverhead() int {
-	if p.norm == L1 {
-		return p.k
+	return SimulationOverhead(p.t.Dim(), p.k, p.norm)
+}
+
+// SimulationOverhead returns the multiplicative round overhead of
+// simulating one round on the k-th power, under norm, of a
+// dim-dimensional torus with messages on the torus itself: k for the L1
+// norm and k·dim for L∞ (the paper's ‖·‖1 ≤ d‖·‖∞ bound, §8).
+func SimulationOverhead(dim, k int, norm Norm) int {
+	if norm == L1 {
+		return k
 	}
-	return p.k * p.t.Dim()
+	return k * dim
 }
 
 // --- Two-dimensional helpers -------------------------------------------

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -243,5 +244,94 @@ func TestCycle(t *testing.T) {
 	}
 	if c.Neighbor(4, 0) != 0 || c.Neighbor(0, 1) != 4 {
 		t.Error("cycle successor/predecessor wrong")
+	}
+}
+
+// TestPowerNeighborMatchesShiftVec: the table-driven Power.Neighbor
+// reaches exactly the node ShiftVec does for every node and offset, on
+// 1-, 2- and 3-dimensional tori under both norms, including sides below
+// 2k+1 where the ball wraps.
+func TestPowerNeighborMatchesShiftVec(t *testing.T) {
+	for _, sides := range [][]int{{9}, {2}, {6, 5}, {3, 7}, {1, 4}, {4, 3, 5}, {2, 2, 3}} {
+		g := MustNew(sides...)
+		for _, norm := range []Norm{L1, LInf} {
+			for k := 1; k <= 3; k++ {
+				p := NewPower(g, k, norm)
+				offs := g.BallOffsets(k, norm)
+				for v := 0; v < g.N(); v++ {
+					if p.Degree(v) != len(offs) {
+						t.Fatalf("sides %v %v k=%d: degree %d, want %d", sides, norm, k, p.Degree(v), len(offs))
+					}
+					for i, off := range offs {
+						if got, want := p.Neighbor(v, i), g.ShiftVec(v, off); got != want {
+							t.Fatalf("sides %v %v k=%d: Neighbor(%d, %d) = %d, ShiftVec = %d", sides, norm, k, v, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBallOffsetsOrder: BallOffsets lists the offsets in the order of a
+// lexicographic walk over [-k, k]^d, keeping the first offset to reach
+// each node, on tori where the ball does and does not wrap.
+func TestBallOffsetsOrder(t *testing.T) {
+	for _, sides := range [][]int{{11}, {3}, {9, 9}, {4, 3}, {2, 5, 3}} {
+		g := MustNew(sides...)
+		for _, norm := range []Norm{L1, LInf} {
+			for k := 0; k <= 3; k++ {
+				var want [][]int
+				reached := map[int]bool{0: true}
+				off := make([]int, len(sides))
+				var walk func(dim int)
+				walk = func(dim int) {
+					if dim == len(sides) {
+						l1, linf := 0, 0
+						for _, o := range off {
+							a := max(o, -o)
+							l1, linf = l1+a, max(linf, a)
+						}
+						if (norm == L1 && l1 > k) || (norm == LInf && linf > k) {
+							return
+						}
+						if u := g.ShiftVec(0, off); !reached[u] {
+							reached[u] = true
+							want = append(want, append([]int(nil), off...))
+						}
+						return
+					}
+					for o := -k; o <= k; o++ {
+						off[dim] = o
+						walk(dim + 1)
+					}
+					off[dim] = 0
+				}
+				walk(0)
+				if got := g.BallOffsets(k, norm); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("sides %v %v k=%d: BallOffsets = %v, want %v", sides, norm, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWrapped: every Wrapped entry is the index of its coordinate
+// reduced onto the torus, for windows starting below 0, inside the
+// side and past it.
+func TestWrapped(t *testing.T) {
+	g := MustNew(4, 3)
+	for dim := 0; dim < 2; dim++ {
+		for lo := -7; lo <= 7; lo++ {
+			got := g.Wrapped(dim, lo, 11)
+			for i, idx := range got {
+				c := lo + i
+				want := make([]int, 2)
+				want[dim] = c
+				if w := g.Index(want...); idx != w {
+					t.Fatalf("Wrapped(%d, %d, 11)[%d] = %d, want %d", dim, lo, i, idx, w)
+				}
+			}
+		}
 	}
 }

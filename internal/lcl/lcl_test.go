@@ -1,6 +1,8 @@
 package lcl
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -298,5 +300,47 @@ func TestProblemString(t *testing.T) {
 	s := VertexColoring(4, 2).String()
 	if !strings.Contains(s, "4-colouring") || !strings.Contains(s, "4 labels") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestVerifyMatchesMoveWalk: Verify's odometer walk reports the same
+// first violation, with the same message, as a walk that finds every +1
+// neighbour with Torus.Move, on 1-, 2- and 3-dimensional tori with sides
+// down to 1 (where the +1 neighbour is the node itself).
+func TestVerifyMatchesMoveWalk(t *testing.T) {
+	reference := func(p *Problem, g *grid.Torus, lab []int) error {
+		for v := 0; v < g.N(); v++ {
+			a := lab[v]
+			if a < 0 || a >= p.K() {
+				return fmt.Errorf("lcl: node %d has label %d outside alphabet", v, a)
+			}
+			for i := 0; i < g.Dim(); i++ {
+				u := g.Move(v, i, 1)
+				b := lab[u]
+				if b < 0 || b >= p.K() {
+					return fmt.Errorf("lcl: node %d has label %d outside alphabet", u, b)
+				}
+				if !p.Allowed(i, a, b) {
+					return fmt.Errorf("lcl: edge %d->%d (dim %d) violates %s: %s | %s",
+						v, u, i, p.Name(), p.Label(a), p.Label(b))
+				}
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, sides := range [][]int{{7}, {1}, {5, 4}, {1, 6}, {3, 1}, {3, 4, 2}, {2, 1, 3}} {
+		g := grid.MustNew(sides...)
+		p := VertexColoring(40, len(sides))
+		for trial := 0; trial < 200; trial++ {
+			lab := make([]int, g.N())
+			for v := range lab {
+				lab[v] = rng.Intn(p.K() + 1) // K() itself is outside the alphabet
+			}
+			got, want := p.Verify(g, lab), reference(p, g, lab)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("sides %v trial %d: Verify = %v, Move walk = %v", sides, trial, got, want)
+			}
+		}
 	}
 }

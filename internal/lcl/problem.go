@@ -132,6 +132,10 @@ func (p *Problem) Verify(t *grid.Torus, labelling []int) error {
 		return fmt.Errorf("lcl: labelling has %d entries for %d nodes", len(labelling), t.N())
 	}
 	k := p.K()
+	// coords is v's coordinate vector, advanced by an odometer: the +1
+	// neighbour in dimension i is v+stride, or v-(side-1)·stride when
+	// coordinate i is side-1 and wraps to 0.
+	coords := make([]int, p.dims)
 	for v := 0; v < t.N(); v++ {
 		a := labelling[v]
 		if a < 0 || a >= k {
@@ -140,8 +144,14 @@ func (p *Problem) Verify(t *grid.Torus, labelling []int) error {
 		if !p.nodeOK[a] {
 			return fmt.Errorf("lcl: node %d has invalid label %s", v, p.labels[a])
 		}
+		stride := 1
 		for i := 0; i < p.dims; i++ {
-			u := t.Move(v, i, 1)
+			side := t.Side(i)
+			u := v + stride
+			if coords[i] == side-1 {
+				u = v - (side-1)*stride
+			}
+			stride *= side
 			b := labelling[u]
 			if b < 0 || b >= k {
 				return fmt.Errorf("lcl: node %d has label %d outside alphabet", u, b)
@@ -150,6 +160,12 @@ func (p *Problem) Verify(t *grid.Torus, labelling []int) error {
 				return fmt.Errorf("lcl: edge %d->%d (dim %d) violates %s: %s | %s",
 					v, u, i, p.name, p.labels[a], p.labels[b])
 			}
+		}
+		for i := range coords {
+			if coords[i]++; coords[i] < t.Side(i) {
+				break
+			}
+			coords[i] = 0
 		}
 	}
 	return nil

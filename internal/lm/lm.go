@@ -16,6 +16,7 @@ package lm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lclgrid/internal/grid"
 	"lclgrid/internal/local"
@@ -294,39 +295,60 @@ func (p *Problem) labelFromAnchors(t *grid.Torus, anchors []bool, table *tm.Tabl
 	n := t.N()
 	labels := make([]Label, n)
 	nx, ny := t.NX(), t.NY()
-	wrap := func(d, side int) int {
-		d %= side
-		if d > side/2 {
-			d -= side
+	// wrapDX[dx+maxDist] and wrapDY[dy+maxDist] are the offsets dx, dy
+	// reduced to the shortest way round the torus.
+	shortest := func(side int) []int {
+		out := make([]int, 2*maxDist+1)
+		for i := range out {
+			d := (i - maxDist) % side
+			if d > side/2 {
+				d -= side
+			}
+			if d < -(side-1)/2 {
+				d += side
+			}
+			out[i] = d
 		}
-		if d < -(side-1)/2 {
-			d += side
-		}
-		return d
+		return out
 	}
-	for v := 0; v < n; v++ {
-		x, y := t.XY(v)
-		bestDX, bestDY, bestA := 0, 0, -1
-		for dy := -maxDist; dy <= maxDist; dy++ {
-			for dx := -maxDist; dx <= maxDist; dx++ {
-				a := t.At(x+dx, y+dy)
-				if !anchors[a] {
+	wrapDX, wrapDY := shortest(nx), shortest(ny)
+	// Cell (x+dx, y+dy) is cols[x+dx+maxDist] + rows[y+dy+maxDist]. A
+	// row without anchors holds no candidate and is skipped whole.
+	cols := t.Wrapped(0, -maxDist, nx+2*maxDist)
+	rows := t.Wrapped(1, -maxDist, ny+2*maxDist)
+	anchored := make([]bool, len(rows))
+	for i, row := range rows {
+		anchored[i] = slices.Contains(anchors[row:row+nx], true)
+	}
+	v := 0
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			bestDX, bestDY, bestA := 0, 0, -1
+			for dy := -maxDist; dy <= maxDist; dy++ {
+				if !anchored[y+dy+maxDist] {
 					continue
 				}
-				adx, ady := wrap(dx, nx), wrap(dy, ny)
-				if bestA < 0 || lexLess(adx, ady, a, bestDX, bestDY, bestA) {
-					bestDX, bestDY, bestA = adx, ady, a
+				row := rows[y+dy+maxDist]
+				for dx := -maxDist; dx <= maxDist; dx++ {
+					a := row + cols[x+dx+maxDist]
+					if !anchors[a] {
+						continue
+					}
+					adx, ady := wrapDX[dx+maxDist], wrapDY[dy+maxDist]
+					if bestA < 0 || lexLess(adx, ady, a, bestDX, bestDY, bestA) {
+						bestDX, bestDY, bestA = adx, ady, a
+					}
 				}
 			}
+			if bestA < 0 {
+				return nil, fmt.Errorf("lm: node %d has no anchor within distance %d", v, maxDist)
+			}
+			// bestDX, bestDY is the offset from node to anchor, so the
+			// node sits at (dxu, dyu) = (-bestDX, -bestDY) from the anchor.
+			dxu, dyu := -bestDX, -bestDY
+			labels[v] = Label{Q: typeFor(dxu, dyu), X: parityFor(dxu, dyu)}
+			v++
 		}
-		if bestA < 0 {
-			return nil, fmt.Errorf("lm: node %d has no anchor within distance %d", v, maxDist)
-		}
-		// Relative position of the node w.r.t. its anchor is (-bestDX,
-		// -bestDY)... bestDX is the offset from node to anchor, so the
-		// node sits at (dxu, dyu) = (-bestDX, -bestDY) from the anchor.
-		dxu, dyu := -bestDX, -bestDY
-		labels[v] = Label{Q: typeFor(dxu, dyu), X: parityFor(dxu, dyu)}
 	}
 	// Write the execution tables.
 	for v := 0; v < n; v++ {
