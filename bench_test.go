@@ -439,6 +439,31 @@ func BenchmarkLabelWindowHuge(b *testing.B) {
 	}
 }
 
+// BenchmarkLabelWindowK3 is the k=3 rung of the window ladder: one
+// 32×32 4col window of a 10^12-node torus on a warm engine. k=3 balls
+// hold 25 nodes, so the Linial recursion reads each halo node's colour
+// from 25 neighbours; these windows carry most of labels-huge's CPU.
+func BenchmarkLabelWindowK3(b *testing.B) {
+	ctx := context.Background()
+	eng := lclgrid.NewEngine()
+	req := lclgrid.LabelRequest{
+		Key: "4col", Sides: []int{1_000_000, 1_000_000}, Seed: 7,
+		X: 999_990, Y: 420_000, W: 32, H: 32,
+	}
+	if _, err := eng.LabelWindow(ctx, req); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.LabelWindow(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if stats := eng.CacheStats(); stats.Misses != 1 {
+		b.Fatalf("warm benchmark synthesized %d times", stats.Misses)
+	}
+}
+
 // BenchmarkExportGrid measures streaming whole-grid export throughput
 // (bounded memory, evaluator reset between bands) on a 100×100 torus.
 func BenchmarkExportGrid(b *testing.B) {

@@ -211,7 +211,7 @@ func LinialColor(g local.Graph, ids []int, idSpace int, r *local.Rounds) ([]int,
 const maxDigitTable = 1 << 20
 
 // linialStep performs one colour-reduction round: every node picks its
-// new colour with firstSeparating, the choice rule LinialChooser.Choose
+// new colour with FirstSeparating, the choice rule a windowed evaluator
 // applies to single nodes. When the graph's n·(d+1) digits fit in
 // maxTable, every colour is converted to its base-q digits once per
 // round into a table; otherwise each node converts its own and its
@@ -224,7 +224,7 @@ func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 	if n*k <= maxTable {
 		table = make([]uint32, n*k)
 		for v, c := range colors {
-			toDigits(c, q, table[v*k:(v+1)*k])
+			ToDigits(c, q, table[v*k:(v+1)*k])
 		}
 	}
 	next := make([]int, n)
@@ -240,10 +240,10 @@ func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 			if table != nil {
 				copy(buf[i*k:(i+1)*k], table[u*k:(u+1)*k])
 			} else {
-				toDigits(colors[u], q, buf[i*k:(i+1)*k])
+				ToDigits(colors[u], q, buf[i*k:(i+1)*k])
 			}
 		}
-		c := firstSeparating(buf[:(deg+1)*k], k, q)
+		c := FirstSeparating(buf[:(deg+1)*k], k, q)
 		if c < 0 {
 			panic(fmt.Sprintf("coloring: no good evaluation point at node %d (q=%d, d=%d)", v, q, d))
 		}
@@ -252,12 +252,15 @@ func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 	return next
 }
 
-// firstSeparating is the choice rule of one Linial step. digits holds
-// the node's k = d+1 base-q digits at [0, k) and each neighbour's at the
+// FirstSeparating is the choice rule of one Linial step, shared by the
+// full-graph LinialColor and by windowed evaluators that replay single
+// nodes' choices (see LinialSchedule). digits holds the node's k = d+1
+// base-q digits (ToDigits) at [0, k) and each neighbour's at the
 // following k-digit segments. It returns x*q + p(x) for the smallest
 // evaluation point x at which the node's polynomial p differs from every
-// neighbour's, or -1 when no x in [0, q) separates them.
-func firstSeparating(digits []uint32, k, q int) int {
+// neighbour's, or -1 when no x in [0, q) separates them, which cannot
+// happen for a proper colouring with q > maxDeg·d.
+func FirstSeparating(digits []uint32, k, q int) int {
 candidates:
 	for x := 0; x < q; x++ {
 		pv := evalPoly(digits[:k], x, q)
@@ -271,9 +274,10 @@ candidates:
 	return -1
 }
 
-// toDigits writes the base-q digits of c into out (least significant
-// first).
-func toDigits(c, q int, out []uint32) {
+// ToDigits writes the base-q digits of c into out (least significant
+// first): the polynomial FirstSeparating evaluates. It panics when c
+// needs more than len(out) digits.
+func ToDigits(c, q int, out []uint32) {
 	for i := range out {
 		out[i] = uint32(c % q)
 		c /= q
@@ -298,7 +302,7 @@ func evalPoly(coeffs []uint32, x, q int) int {
 // bound, plus the final colour-space size. It mirrors LinialColor's loop
 // exactly (same linialParams, same stopping rule), which is what lets a
 // windowed evaluator replay individual colour choices for single nodes
-// without materialising the full-graph colouring.
+// with FirstSeparating without materialising the full-graph colouring.
 func LinialSchedule(idSpace, maxDeg int) (params [][2]int, finalColors int) {
 	m := idSpace + 1
 	var out [][2]int
@@ -310,40 +314,6 @@ func LinialSchedule(idSpace, maxDeg int) (params [][2]int, finalColors int) {
 		out = append(out, [2]int{d, q})
 		m = q * q
 	}
-}
-
-// LinialChooser performs single nodes' colour choices of Linial
-// reduction steps. Choose takes the node's own colour and its
-// neighbours' colours in the pre-step colour space and returns the
-// smallest evaluation point x on which the node's polynomial differs
-// from every neighbour's, encoded as x*q + p(x). Choose and linialStep
-// share one choice rule (firstSeparating) and differ only in when they
-// convert colours to digits, so a windowed evaluator that calls Choose
-// computes exactly the colour LinialColor does. It returns -1 when no
-// evaluation point separates the node, which cannot happen for a proper
-// colouring with q > maxDeg·d.
-//
-// The zero value is ready to use. A chooser reuses one digit buffer
-// across calls, so it is not safe for concurrent use.
-type LinialChooser struct {
-	digits []uint32
-}
-
-// Choose returns the node's new colour (see LinialChooser).
-func (lc *LinialChooser) Choose(own int, nbrs []int, d, q int) int {
-	k := d + 1
-	need := (len(nbrs) + 1) * k
-	if cap(lc.digits) < need {
-		lc.digits = make([]uint32, need)
-	}
-	// Digits are converted once per node: the node's at [0, k), neighbour
-	// i's at [(i+1)k, (i+2)k).
-	digits := lc.digits[:need]
-	toDigits(own, q, digits[:k])
-	for i, c := range nbrs {
-		toDigits(c, q, digits[(i+1)*k:(i+2)*k])
-	}
-	return firstSeparating(digits, k, q)
 }
 
 // --- Greedy reduction and MIS sweeps -------------------------------------

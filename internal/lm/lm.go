@@ -147,73 +147,79 @@ func (p *Problem) verifyP1(t *grid.Torus, labels []Label) error {
 }
 
 func (p *Problem) verifyP2(t *grid.Torus, labels []Label) error {
-	at := func(v int, dx, dy int) int {
-		x, y := t.XY(v)
-		return t.At(x+dx, y+dy)
-	}
+	// The node at (x+dx, y+dy) is cols[x+dx+1] + rows[y+dy+1] for
+	// -1 <= dx < nx and -1 <= dy < ny, which covers the ±1 neighbourhood
+	// and every execution-table cell (a table fits the torus), so no
+	// lookup divides. Both walks visit nodes in index order.
+	nx, ny := t.NX(), t.NY()
+	cols := t.Wrapped(0, -1, 2*nx+1)
+	rows := t.Wrapped(1, -1, 2*ny+1)
+	at := func(x, y, dx, dy int) int { return cols[x+dx+1] + rows[y+dy+1] }
 	q := func(v int) Type { return labels[v].Q }
 
-	for v := 0; v < t.N(); v++ {
-		l := labels[v]
-		switch l.Q {
-		case TypeA:
-			// Anchor surroundings (§6): Q(N)=S, Q(NE)=SW, Q(E)=W,
-			// Q(SE)=NW, Q(S)=N, Q(SW)=NE, Q(W)=E, Q(NW)=SE.
-			checks := []struct {
-				dx, dy int
-				want   Type
-			}{
-				{0, 1, TypeS}, {1, 1, TypeSW}, {1, 0, TypeW}, {1, -1, TypeNW},
-				{0, -1, TypeN}, {-1, -1, TypeNE}, {-1, 0, TypeE}, {-1, 1, TypeSE},
-			}
-			for _, c := range checks {
-				if got := q(at(v, c.dx, c.dy)); got != c.want {
-					return fmt.Errorf("lm: anchor %d has %v at offset (%d,%d), want %v", v, got, c.dx, c.dy, c.want)
-				}
-			}
-		default:
-			dx, dy := diagStep(l.Q)
-			d := at(v, dx, dy)
-			ok := false
-			for _, a := range allowedDiag[l.Q] {
-				if q(d) == a {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("lm: node %d type %v has diag type %v", v, l.Q, q(d))
-			}
-			// Diagonal 2-colouring.
-			if q(d) == l.Q && labels[d].X == l.X {
-				return fmt.Errorf("lm: monochromatic diagonal %d (type %v)", v, l.Q)
-			}
-			// Border flanking rules.
+	for y, v := 0, 0; y < ny; y++ {
+		for x := 0; x < nx; x, v = x+1, v+1 {
+			l := labels[v]
 			switch l.Q {
-			case TypeN:
-				if q(at(v, -1, 0)) != TypeNE || q(at(v, 1, 0)) != TypeNW {
-					return fmt.Errorf("lm: N node %d not flanked by NE/NW", v)
+			case TypeA:
+				// Anchor surroundings (§6): Q(N)=S, Q(NE)=SW, Q(E)=W,
+				// Q(SE)=NW, Q(S)=N, Q(SW)=NE, Q(W)=E, Q(NW)=SE.
+				checks := []struct {
+					dx, dy int
+					want   Type
+				}{
+					{0, 1, TypeS}, {1, 1, TypeSW}, {1, 0, TypeW}, {1, -1, TypeNW},
+					{0, -1, TypeN}, {-1, -1, TypeNE}, {-1, 0, TypeE}, {-1, 1, TypeSE},
 				}
-			case TypeS:
-				if q(at(v, -1, 0)) != TypeSE || q(at(v, 1, 0)) != TypeSW {
-					return fmt.Errorf("lm: S node %d not flanked by SE/SW", v)
+				for _, c := range checks {
+					if got := q(at(x, y, c.dx, c.dy)); got != c.want {
+						return fmt.Errorf("lm: anchor %d has %v at offset (%d,%d), want %v", v, got, c.dx, c.dy, c.want)
+					}
 				}
-			case TypeE:
-				if q(at(v, 0, 1)) != TypeSE || q(at(v, 0, -1)) != TypeNE {
-					return fmt.Errorf("lm: E node %d not flanked by SE/NE", v)
-				}
-			case TypeW:
-				if q(at(v, 0, 1)) != TypeSW || q(at(v, 0, -1)) != TypeNW {
-					return fmt.Errorf("lm: W node %d not flanked by SW/NW", v)
-				}
-			}
-		}
-		// Execution-table content may only sit on A, S, W, SW nodes.
-		if l.Cell != nil {
-			switch l.Q {
-			case TypeA, TypeS, TypeW, TypeSW:
 			default:
-				return fmt.Errorf("lm: node %d of type %v carries table content", v, l.Q)
+				dx, dy := diagStep(l.Q)
+				d := at(x, y, dx, dy)
+				ok := false
+				for _, a := range allowedDiag[l.Q] {
+					if q(d) == a {
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					return fmt.Errorf("lm: node %d type %v has diag type %v", v, l.Q, q(d))
+				}
+				// Diagonal 2-colouring.
+				if q(d) == l.Q && labels[d].X == l.X {
+					return fmt.Errorf("lm: monochromatic diagonal %d (type %v)", v, l.Q)
+				}
+				// Border flanking rules.
+				switch l.Q {
+				case TypeN:
+					if q(at(x, y, -1, 0)) != TypeNE || q(at(x, y, 1, 0)) != TypeNW {
+						return fmt.Errorf("lm: N node %d not flanked by NE/NW", v)
+					}
+				case TypeS:
+					if q(at(x, y, -1, 0)) != TypeSE || q(at(x, y, 1, 0)) != TypeSW {
+						return fmt.Errorf("lm: S node %d not flanked by SE/SW", v)
+					}
+				case TypeE:
+					if q(at(x, y, 0, 1)) != TypeSE || q(at(x, y, 0, -1)) != TypeNE {
+						return fmt.Errorf("lm: E node %d not flanked by SE/NE", v)
+					}
+				case TypeW:
+					if q(at(x, y, 0, 1)) != TypeSW || q(at(x, y, 0, -1)) != TypeNW {
+						return fmt.Errorf("lm: W node %d not flanked by SW/NW", v)
+					}
+				}
+			}
+			// Execution-table content may only sit on A, S, W, SW nodes.
+			if l.Cell != nil {
+				switch l.Q {
+				case TypeA, TypeS, TypeW, TypeSW:
+				default:
+					return fmt.Errorf("lm: node %d of type %v carries table content", v, l.Q)
+				}
 			}
 		}
 	}
@@ -225,25 +231,27 @@ func (p *Problem) verifyP2(t *grid.Torus, labels []Label) error {
 	table, err := p.M.Run(bound)
 	hasAnchor := false
 	claimed := make([]bool, t.N())
-	for v := 0; v < t.N(); v++ {
-		if labels[v].Q != TypeA {
-			continue
-		}
-		hasAnchor = true
-		if err != nil {
-			return fmt.Errorf("lm: labelling has an anchor but %s does not halt within %d steps", p.M.Name, bound)
-		}
-		if table.Steps+1 > t.NY() || table.Width > t.NX() {
-			return fmt.Errorf("lm: execution table (%d×%d) does not fit the torus", table.Steps+1, table.Width)
-		}
-		for j := 0; j <= table.Steps; j++ {
-			for i := 0; i < table.Width; i++ {
-				u := at(v, i, j)
-				claimed[u] = true
-				want := table.Rows[j][i]
-				got := labels[u].Cell
-				if got == nil || *got != want {
-					return fmt.Errorf("lm: node %d does not carry table cell (%d,%d) of %s", u, i, j, p.M.Name)
+	for y, v := 0, 0; y < ny; y++ {
+		for x := 0; x < nx; x, v = x+1, v+1 {
+			if labels[v].Q != TypeA {
+				continue
+			}
+			hasAnchor = true
+			if err != nil {
+				return fmt.Errorf("lm: labelling has an anchor but %s does not halt within %d steps", p.M.Name, bound)
+			}
+			if table.Steps+1 > t.NY() || table.Width > t.NX() {
+				return fmt.Errorf("lm: execution table (%d×%d) does not fit the torus", table.Steps+1, table.Width)
+			}
+			for j := 0; j <= table.Steps; j++ {
+				for i := 0; i < table.Width; i++ {
+					u := at(x, y, i, j)
+					claimed[u] = true
+					want := table.Rows[j][i]
+					got := labels[u].Cell
+					if got == nil || *got != want {
+						return fmt.Errorf("lm: node %d does not carry table cell (%d,%d) of %s", u, i, j, p.M.Name)
+					}
 				}
 			}
 		}

@@ -283,9 +283,11 @@ func TestExportGridMatchesSolve(t *testing.T) {
 	}
 }
 
-// windowEvents is an Observer recording window event counts.
+// windowEvents is an Observer recording window event counts and the
+// stats of the last window to end.
 type windowEvents struct {
 	starts, ends, errs int
+	stats              lclgrid.WindowStats
 }
 
 func (w *windowEvents) Observe(ev lclgrid.Event) {
@@ -294,6 +296,7 @@ func (w *windowEvents) Observe(ev lclgrid.Event) {
 		w.starts++
 	case lclgrid.EventWindowEnd:
 		w.ends++
+		w.stats = ev.Stats
 		if ev.Err != nil {
 			w.errs++
 		}

@@ -85,7 +85,7 @@ type Plan struct {
 	Strategies []PlannedStrategy `json:"strategies"`
 
 	torus *Torus
-	ids   []int
+	ids   *idSource
 	opts  Options
 }
 
@@ -249,7 +249,7 @@ func (pl *Planner) plan(req SolveRequest) (*Plan, error) {
 
 // planSpec builds the plan for a registered key from the spec's plan
 // hint.
-func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (*Plan, error) {
+func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids *idSource, o Options) (*Plan, error) {
 	plan := &Plan{Key: spec.Key, Problem: spec.Name, Class: spec.Class, Sides: t.Sides(), torus: t, ids: ids, opts: o}
 	if o.Power > 0 {
 		if spec.Problem == nil {
@@ -260,7 +260,7 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 	}
 	switch {
 	case spec.Constant:
-		plan.Strategies = append(plan.Strategies, constantStage(spec.Problem(), t, ids, o))
+		plan.Strategies = append(plan.Strategies, constantStage(spec.Problem(), t, o))
 	case len(spec.Attempts) > 0:
 		pl.addSynthesisStages(plan, spec.Problem(), spec.Attempts, "", spec.Problem != nil)
 	case spec.Direct != nil:
@@ -270,11 +270,11 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 			Solver: solver.Name(),
 			Reason: "registered direct algorithm",
 			run: func(ctx context.Context) (*Result, error) {
-				return solver.Solve(ctx, t, ids, withOptions(o))
+				return solver.Solve(ctx, t, solverIDs(solver, ids), withOptions(o))
 			},
 		})
 	case spec.Baseline:
-		plan.Strategies = append(plan.Strategies, baselineStage(spec.Problem(), t, ids, o,
+		plan.Strategies = append(plan.Strategies, baselineStage(spec.Problem(), t, o,
 			func() Class { return spec.Class }, false,
 			"Θ(n) gather-and-solve is the registered strategy"))
 	case spec.Oracle:
@@ -303,7 +303,7 @@ func (pl *Planner) planSpec(spec *ProblemSpec, t *Torus, ids []int, o Options) (
 // the fallback — including when a synthesized normal form exists but
 // needs a larger torus than the request asked for (the same semantics as
 // the registered-key path).
-func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Plan, error) {
+func (pl *Planner) planProblem(p *Problem, t *Torus, ids *idSource, o Options) (*Plan, error) {
 	plan := &Plan{Problem: p.Name(), Class: ClassUnknown, Sides: t.Sides(), torus: t, ids: ids, opts: o}
 	if o.Power > 0 {
 		pl.addForcedStage(plan, p)
@@ -311,7 +311,7 @@ func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Pla
 	}
 	if len(p.ConstantSolutions()) > 0 {
 		plan.Class = ClassO1
-		plan.Strategies = append(plan.Strategies, constantStage(p, t, ids, o))
+		plan.Strategies = append(plan.Strategies, constantStage(p, t, o))
 		return plan, nil
 	}
 
@@ -349,11 +349,11 @@ func (pl *Planner) planProblem(p *Problem, t *Torus, ids []int, o Options) (*Pla
 			if !attemptFits(t, winner) {
 				return nil, fmt.Errorf("lclgrid: no normal-form table for %s at the tried shapes: %w", p.Name(), core.TorusTooSmallError(winner.K, winner.H, winner.W))
 			}
-			return s.serve(t, ids, alg, winner, cached, &o)
+			return s.serve(t, ids.get(), alg, winner, cached, &o)
 		}
 	}
 	plan.Strategies = append(plan.Strategies, st)
-	plan.Strategies = append(plan.Strategies, baselineStage(p, t, ids, o,
+	plan.Strategies = append(plan.Strategies, baselineStage(p, t, o,
 		func() Class { return knownClass }, true,
 		"Θ(n) gather-and-solve serves the problem when no normal form applies"))
 	return plan, nil
@@ -417,7 +417,7 @@ func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAt
 			Reason:   "completed outcomes for these shapes are already in the synthesis cache — replayed with no SAT work (a cached table serves the request, a cached UNSAT falls through)",
 			run: func(ctx context.Context) (*Result, error) {
 				s := &SynthesisSolver{Problem: p, Attempts: cachedFit, Engine: e}
-				return s.Solve(ctx, t, ids, withOptions(o))
+				return s.Solve(ctx, t, ids.get(), withOptions(o))
 			},
 		})
 	}
@@ -454,26 +454,41 @@ func (pl *Planner) addSynthesisStages(plan *Plan, p *Problem, attempts []SynthAt
 		} else {
 			st.run = func(ctx context.Context) (*Result, error) {
 				s := &SynthesisSolver{Problem: p, Attempts: uncached, Engine: e}
-				return s.Solve(ctx, t, ids, withOptions(o))
+				return s.Solve(ctx, t, ids.get(), withOptions(o))
 			}
 		}
 		plan.Strategies = append(plan.Strategies, st)
 	}
 	if withFallback {
 		cls := plan.Class
-		plan.Strategies = append(plan.Strategies, baselineStage(p, t, ids, o, func() Class { return cls }, true,
+		plan.Strategies = append(plan.Strategies, baselineStage(p, t, o, func() Class { return cls }, true,
 			"Θ(n) gather-and-solve serves the problem when the normal form needs a larger torus"))
 	}
 }
 
-// constantStage builds the O(1) constant-fill stage.
-func constantStage(p *Problem, t *Torus, ids []int, o Options) PlannedStrategy {
+// solverIDs returns the identifiers to hand a direct solver: none for
+// one that never reads them (see idFree), so the plan does not build
+// them.
+func solverIDs(s Solver, ids *idSource) []int {
+	if _, ok := s.(idFree); ok {
+		return nil
+	}
+	return ids.get()
+}
+
+// idFree marks solvers whose output does not depend on the identifier
+// assignment.
+type idFree interface{ idFree() }
+
+// constantStage builds the O(1) constant-fill stage; constant fill reads
+// no identifiers.
+func constantStage(p *Problem, t *Torus, o Options) PlannedStrategy {
 	return PlannedStrategy{
 		Kind:   StrategyConstant,
 		Solver: (&ConstantSolver{}).Name(),
 		Reason: "O(1): a constant label tiles the grid (§6)",
 		run: func(ctx context.Context) (*Result, error) {
-			return (&ConstantSolver{Problem: p}).Solve(ctx, t, ids, withOptions(o))
+			return (&ConstantSolver{Problem: p}).Solve(ctx, t, nil, withOptions(o))
 		},
 	}
 }
@@ -482,14 +497,15 @@ func constantStage(p *Problem, t *Torus, ids []int, o Options) PlannedStrategy {
 // execution time so an earlier stage (the inline oracle) can refine the
 // class the baseline records; fallback gates the stage on a
 // too-small-torus (or no-normal-form) failure of the stage before it.
-func baselineStage(p *Problem, t *Torus, ids []int, o Options, classOf func() Class, fallback bool, reason string) PlannedStrategy {
+// The brute force gathers the whole torus and reads no identifiers.
+func baselineStage(p *Problem, t *Torus, o Options, classOf func() Class, fallback bool, reason string) PlannedStrategy {
 	return PlannedStrategy{
 		Kind:     StrategyBaseline,
 		Solver:   (&GlobalSolver{}).Name(),
 		Reason:   reason,
 		Fallback: fallback,
 		run: func(ctx context.Context) (*Result, error) {
-			return (&GlobalSolver{Problem: p, KnownClass: classOf()}).Solve(ctx, t, ids, withOptions(o))
+			return (&GlobalSolver{Problem: p, KnownClass: classOf()}).Solve(ctx, t, nil, withOptions(o))
 		},
 	}
 }

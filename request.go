@@ -2,6 +2,7 @@ package lclgrid
 
 import (
 	"fmt"
+	"sync"
 )
 
 // SolveRequest is the unit of service of the request/response API: "solve
@@ -229,19 +230,42 @@ func (r *SolveRequest) torus(spec *ProblemSpec) (*Torus, error) {
 	return nil, fmt.Errorf("lclgrid: request needs a torus shape (set N, Sides or Torus)")
 }
 
-// ids resolves the request's identifier assignment for the torus; nil
-// means "let the solver fill sequential identifiers". An explicit IDs
-// slice must cover the torus exactly — this is a wire-settable field, so
-// a mismatch is a per-request error, never a panic deeper in a solver.
-func (r *SolveRequest) ids(t *Torus) ([]int, error) {
-	if r.IDs != nil {
-		if len(r.IDs) != t.N() {
-			return nil, fmt.Errorf("lclgrid: request has %d ids for a %d-node torus", len(r.IDs), t.N())
+// ids resolves the request's identifier assignment for the torus. An
+// explicit IDs slice must cover the torus exactly — this is a
+// wire-settable field, so a mismatch is a per-request error, never a
+// panic deeper in a solver. A seeded permutation is only built when a
+// stage first asks for it (see idSource).
+func (r *SolveRequest) ids(t *Torus) (*idSource, error) {
+	switch {
+	case r.IDs != nil && len(r.IDs) != t.N():
+		return nil, fmt.Errorf("lclgrid: request has %d ids for a %d-node torus", len(r.IDs), t.N())
+	case r.IDs == nil && r.Seed == 0:
+		return nil, nil
+	}
+	return &idSource{ids: r.IDs, n: t.N(), seed: r.Seed}, nil
+}
+
+// idSource is a plan's identifier assignment: the request's explicit
+// IDs, else PermutedIDs(n, seed) for a non-zero seed; a nil *idSource
+// gets nil ("let the solver fill sequential identifiers"). The
+// permutation is built on the first get, at most once, so stages that
+// never read identifiers (constant fill, the baseline, ID-free direct
+// solvers) never pay for it.
+type idSource struct {
+	once sync.Once
+	ids  []int
+	n    int
+	seed int64
+}
+
+func (s *idSource) get() []int {
+	if s == nil {
+		return nil
+	}
+	s.once.Do(func() {
+		if s.ids == nil && s.seed != 0 {
+			s.ids = PermutedIDs(s.n, s.seed)
 		}
-		return r.IDs, nil
-	}
-	if r.Seed != 0 {
-		return PermutedIDs(t.N(), r.Seed), nil
-	}
-	return nil, nil
+	})
+	return s.ids
 }

@@ -412,6 +412,9 @@ type LMSolver struct {
 // Name implements Solver.
 func (s *LMSolver) Name() string { return "§6 L_M construction" }
 
+// idFree: the L_M constructions read no identifiers.
+func (*LMSolver) idFree() {}
+
 // Solve implements Solver.
 func (s *LMSolver) Solve(ctx context.Context, t *Torus, ids []int, opts ...Option) (*Result, error) {
 	if err := ctx.Err(); err != nil {
