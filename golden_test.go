@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"testing"
+	"time"
 
 	lclgrid "lclgrid"
 	"lclgrid/internal/lm"
@@ -46,6 +48,17 @@ var goldenAnchors = []struct {
 	{[]int{97}, 2, lclgrid.L1, "03147e40c9186a8e087ddd22e737a1a14ad50f660f2fe107ab27e5ed82b8db08"},
 }
 
+// goldenTimeout bounds each golden solve and label window. The whole
+// matrix runs in well under a second; a wrong S_k or A′ can send a solve
+// past its normal form into an open-ended synthesis, which this deadline
+// turns into a failure naming the request instead of a hung suite.
+const goldenTimeout = 5 * time.Second
+
+// goldenCtx returns a context that expires after goldenTimeout.
+func goldenCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), goldenTimeout)
+}
+
 func hashSolve(h hash.Hash, res *lclgrid.Result, err error) {
 	if err != nil {
 		fmt.Fprintf(h, "error %v\n", err)
@@ -73,7 +86,12 @@ func TestGoldenSolves(t *testing.T) {
 		h := sha256.New()
 		for _, n := range []int{12, 24, 26, 28, 33, 40} {
 			for seed := int64(1); seed <= 3; seed++ {
-				res, err := eng.Solve(context.Background(), lclgrid.SolveRequest{Key: key, N: n, Seed: seed})
+				ctx, cancel := goldenCtx()
+				res, err := eng.Solve(ctx, lclgrid.SolveRequest{Key: key, N: n, Seed: seed})
+				cancel()
+				if errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s n=%d seed=%d: no answer within %v: %v", key, n, seed, goldenTimeout, err)
+				}
 				fmt.Fprintf(h, "n=%d seed=%d ", n, seed)
 				hashSolve(h, res, err)
 			}
@@ -201,7 +219,6 @@ var goldenLabelWindows = map[string]string{
 // hashes, so the window evaluator's labels and work counters are
 // byte-identical across changes to it.
 func TestGoldenLabelWindows(t *testing.T) {
-	ctx := context.Background()
 	rec := &windowEvents{}
 	eng := lclgrid.NewEngine(lclgrid.WithObserver(rec))
 	check := func(name string, sum []byte) {
@@ -211,7 +228,9 @@ func TestGoldenLabelWindows(t *testing.T) {
 		}
 	}
 	for _, c := range goldenLabelCases() {
+		ctx, cancel := goldenCtx()
 		res, err := eng.LabelWindow(ctx, c.req)
+		cancel()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -223,6 +242,8 @@ func TestGoldenLabelWindows(t *testing.T) {
 		check(c.name, sum[:])
 	}
 	h := sha256.New()
+	ctx, cancel := goldenCtx()
+	defer cancel()
 	err := eng.ExportGrid(ctx, lclgrid.ExportRequest{Key: "4col", N: 100, Seed: 7, BandRows: 25}, func(b lclgrid.LabelBand) error {
 		fmt.Fprintf(h, "y %d rows %d labels %v\n", b.Y, b.Rows, b.Labels)
 		return nil

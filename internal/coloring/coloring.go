@@ -216,7 +216,8 @@ const maxDigitTable = 1 << 20
 // maxTable, every colour is converted to its base-q digits once per
 // round into a table; otherwise each node converts its own and its
 // neighbours' colours as it visits them. A digit is below q, and a round
-// runs only while q² < m, so q < 2^32 and digits fit a uint32.
+// runs only while q² < m, so q < 2^32 and digits fit a uint32: the
+// preconditions of FirstSeparating.
 func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 	n := g.N()
 	k := d + 1
@@ -260,16 +261,29 @@ func linialStep(g local.Graph, colors []int, maxDeg, d, q, maxTable int) []int {
 // evaluation point x at which the node's polynomial p differs from every
 // neighbour's, or -1 when no x in [0, q) separates them, which cannot
 // happen for a proper colouring with q > maxDeg·d.
+//
+// It requires q < 2^32 and every digit below q, which ToDigits and the
+// schedule guarantee (a round runs only while q² < m, an int). x = 0 is
+// read from the constant digits, since p(0) is digits[0]; every other
+// point goes through evalPoly.
 func FirstSeparating(digits []uint32, k, q int) int {
+	tied := false
+	for j := k; j < len(digits) && !tied; j += k {
+		tied = digits[j] == digits[0]
+	}
+	if !tied {
+		return int(digits[0])
+	}
+	uq := uint64(q)
 candidates:
-	for x := 0; x < q; x++ {
-		pv := evalPoly(digits[:k], x, q)
+	for x := uint64(1); x < uq; x++ {
+		pv := evalPoly(digits[:k], x, uq)
 		for j := k; j < len(digits); j += k {
-			if evalPoly(digits[j:j+k], x, q) == pv {
+			if evalPoly(digits[j:j+k], x, uq) == pv {
 				continue candidates
 			}
 		}
-		return x*q + pv
+		return int(x*uq + pv)
 	}
 	return -1
 }
@@ -288,13 +302,22 @@ func ToDigits(c, q int, out []uint32) {
 }
 
 // evalPoly evaluates the polynomial with the given coefficients (degree
-// ordered low to high) at x over F_q.
-func evalPoly(coeffs []uint32, x, q int) int {
-	acc := 0
+// ordered low to high) at x over F_q. It requires q < 2^32 and x and
+// every coefficient below q. Horner's rule runs unreduced while the
+// accumulator stays below 2^32, so acc·x + c < 2^64 never overflows, and
+// reduces mod q only when it reaches 2^32 and once at the end. At the
+// schedules' d = 2 levels no evaluation reduces mid-loop; at (7, 37) and
+// (5, 127) only evaluations at x ≥ 15 and x ≥ 32 can, and choices are
+// almost all made at far smaller x.
+func evalPoly(coeffs []uint32, x, q uint64) uint64 {
+	var acc uint64
 	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + int(coeffs[i])) % q
+		acc = acc*x + uint64(coeffs[i])
+		if acc >= 1<<32 {
+			acc %= q
+		}
 	}
-	return acc
+	return acc % q
 }
 
 // LinialSchedule returns the (d, q) parameter pairs the LinialColor

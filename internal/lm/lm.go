@@ -358,17 +358,23 @@ func (p *Problem) labelFromAnchors(t *grid.Torus, anchors []bool, table *tm.Tabl
 			v++
 		}
 	}
-	// Write the execution tables.
-	for v := 0; v < n; v++ {
-		if labels[v].Q != TypeA {
-			continue
-		}
-		x, y := t.XY(v)
-		for j := 0; j <= table.Steps; j++ {
-			for i := 0; i < table.Width; i++ {
-				c := table.Rows[j][i]
-				labels[t.At(x+i, y+j)].Cell = &c
+	// Write the execution tables: cell (i, j) of the table of the type-A
+	// node at (x, y) goes to node (x+i, y+j). The offsets stay within
+	// cols and rows, since Width <= Steps+1 <= maxDist (the tile size
+	// 4(Steps+1)).
+	v = 0
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			if labels[v].Q == TypeA {
+				for j := 0; j <= table.Steps; j++ {
+					row := rows[y+j+maxDist]
+					for i := 0; i < table.Width; i++ {
+						c := table.Rows[j][i]
+						labels[row+cols[x+i+maxDist]].Cell = &c
+					}
+				}
 			}
+			v++
 		}
 	}
 	return labels, nil
