@@ -567,3 +567,38 @@ func BenchmarkEngineSolveUserProblemCached(b *testing.B) {
 		b.Fatalf("cached benchmark synthesized %d times", stats.Misses)
 	}
 }
+
+// BenchmarkEngineDefineNovel is the writer's rung of define-mixed: each
+// iteration registers a fresh relabelling (a new fingerprint) on one
+// engine and first-solves it at n = 28, so every iteration runs the
+// oracle's cold syntheses while the engine's tile graphs outlive it.
+// global is 3col (all six default-schedule shapes UNSAT, then the Θ(n)
+// baseline); k3 is 4col (a table at k = 3, 7×5, after four UNSAT
+// shapes).
+func BenchmarkEngineDefineNovel(b *testing.B) {
+	for _, bc := range []struct {
+		name, base string
+		class      lclgrid.Class
+	}{
+		{"global", "3col", lclgrid.ClassUnknown},
+		{"k3", "4col", lclgrid.ClassLogStar},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			eng := lclgrid.NewEngine()
+			for i := 0; i < b.N; i++ {
+				rec, _, err := eng.DefineProblem(renamedDef(b, bc.base, fmt.Sprintf("n%d.", i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := eng.Solve(ctx, lclgrid.SolveRequest{Key: rec.Key, N: 28, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Class != bc.class {
+					b.Fatalf("%s restatement classified %v, want %v", bc.base, res.Class, bc.class)
+				}
+			}
+		})
+	}
+}

@@ -15,7 +15,7 @@ import (
 // renamedDef restates a catalogue problem as a DSL definition with every
 // label renamed: the same constraint system under a new fingerprint, so
 // it has its own cache entries and its own oracle classification.
-func renamedDef(t *testing.T, key, prefix string) *lclgrid.ProblemDef {
+func renamedDef(t testing.TB, key, prefix string) *lclgrid.ProblemDef {
 	t.Helper()
 	spec, err := lclgrid.DefaultRegistry().Lookup(key)
 	if err != nil {

@@ -47,6 +47,10 @@ type Engine struct {
 	mu       sync.Mutex
 	inflight map[SynthKey]*synthEntry
 
+	// graphs holds one shared tile graph slot per shape of the default
+	// oracle schedule; the map itself is never written after NewEngine.
+	graphs map[[3]int]*graphSlot
+
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -147,6 +151,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		cache:    cache,
 		obs:      cfg.obs,
 		inflight: make(map[SynthKey]*synthEntry),
+		graphs:   newGraphSlots(),
 	}
 	if len(e.obs) > 0 {
 		if src, ok := cache.(eventSource); ok {
@@ -206,7 +211,8 @@ func (e *Engine) Evict(p *Problem, k, h, w int) bool {
 // can therefore call Reset periodically to bound cache growth without
 // racing their own traffic (or bound it structurally with
 // WithCacheCapacity). On a disk-backed cache Reset clears the in-memory
-// layer only; the files persist.
+// layer only; the files persist. The engine's shared tile graphs stay:
+// they are geometry, the same for every problem, not cached outcomes.
 func (e *Engine) Reset() int {
 	removed := e.cache.Reset()
 	e.hits.Store(0)
@@ -250,8 +256,12 @@ func withProblem(alg *Synthesized, p *Problem) *Synthesized {
 // Every shape sweep — Classify, the planner's oracle stage for inline
 // and user problems, SynthesisSolver, LabelWindow, ExportGrid and Warm —
 // calls Synthesize once per shape, in schedule order, and a cold
-// synthesis is always a fresh core.Synthesize, so a shape's table does
-// not depend on which path synthesized it.
+// synthesis always encodes and solves a fresh CSP (core.SynthesizeOn)
+// over the shape's tile graph, so a shape's table does not depend on
+// which path synthesized it. The graph depends only on the shape: for
+// the shapes of the default oracle schedule the engine builds it once
+// and shares it with every later synthesis of that shape (see
+// synthesizeCold); every other shape builds a fresh one.
 func (e *Engine) Synthesize(ctx context.Context, p *Problem, k, h, w int) (alg *Synthesized, cached bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -365,7 +375,7 @@ func (e *Engine) Synthesize(ctx context.Context, p *Problem, k, h, w int) (alg *
 					panic(r)
 				}
 			}()
-			ent.alg, ent.err = core.Synthesize(sctx, p, k, h, w)
+			ent.alg, ent.err = e.synthesizeCold(sctx, p, k, h, w)
 		}()
 		ssp.SetError(ent.err)
 		if ent.alg != nil {
@@ -395,6 +405,67 @@ func (e *Engine) Synthesize(ctx context.Context, p *Problem, k, h, w int) (alg *
 		close(ent.ready)
 		return ent.alg, false, ent.err
 	}
+}
+
+// synthesizeCold runs one cold synthesis of (p, k, h, w). A shape of
+// the default oracle schedule is solved over the engine's shared tile
+// graph for that shape; any other shape (a forced or higher-power one
+// from the wire) builds a fresh graph, so no request can make the engine
+// keep an arbitrary graph.
+func (e *Engine) synthesizeCold(ctx context.Context, p *Problem, k, h, w int) (*Synthesized, error) {
+	slot := e.graphs[[3]int{k, h, w}]
+	if slot == nil {
+		return core.Synthesize(ctx, p, k, h, w)
+	}
+	tg, err := slot.get(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return core.SynthesizeOn(ctx, p, tg)
+}
+
+// graphSlot holds the engine's shared tile graph for one shape. The
+// first synthesis of the shape builds it and concurrent ones wait for
+// that one build; a build aborted by its caller's context is not kept,
+// so the next caller builds again.
+type graphSlot struct {
+	k, h, w int
+	build   chan struct{} // capacity 1: held by the caller that builds
+	tg      atomic.Pointer[core.TileGraph]
+}
+
+// newGraphSlots returns one empty slot per shape of the default oracle
+// schedule: OracleSchedule at the default MaxPower, the shapes every
+// oracle-classified problem walks.
+func newGraphSlots() map[[3]int]*graphSlot {
+	slots := make(map[[3]int]*graphSlot)
+	for _, s := range core.OracleSchedule(buildOptions(nil).MaxPower) {
+		slots[s] = &graphSlot{k: s[0], h: s[1], w: s[2], build: make(chan struct{}, 1)}
+	}
+	return slots
+}
+
+// get returns the slot's graph, building it under ctx when no earlier
+// build completed. A waiter detaches with its own ctx's error.
+func (s *graphSlot) get(ctx context.Context) (*core.TileGraph, error) {
+	if tg := s.tg.Load(); tg != nil {
+		return tg, nil
+	}
+	select {
+	case s.build <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.build }()
+	if tg := s.tg.Load(); tg != nil {
+		return tg, nil // built while this caller waited
+	}
+	tg, err := core.BuildTileGraph(ctx, s.k, s.h, s.w)
+	if err != nil {
+		return nil, err
+	}
+	s.tg.Store(tg)
+	return tg, nil
 }
 
 // synthKeyAttr renders a SynthKey as a span attribute: the stable cache

@@ -33,6 +33,13 @@ func TorusTooSmallError(k, h, w int) error {
 	return fmt.Errorf("%w: side must be at least %d for k=%d, %dx%d windows", ErrTorusTooSmall, MinTorusSideFor(k, h, w), k, h, w)
 }
 
+// ErrNotATile is returned when a normal form meets an anchor window that
+// is not one of its tiles. On a torus of at least MinTorusSide with a
+// valid anchor set every window is a tile, so this marks a fault in S_k,
+// in A′ or in the table itself (say, a corrupt cache record), never a
+// property of the problem or the request.
+var ErrNotATile = errors.New("core: observed window is not a tile")
+
 // IsContextError reports whether err is a context cancellation or
 // deadline expiry — the predicate the singleflight cache, the oracle and
 // the solver adapters all share to recognise an aborted (as opposed to
@@ -76,10 +83,11 @@ func DefaultWindow(k int) (h, w int) {
 // satisfaction problem with the CDCL SAT solver. The problem must be
 // 2-dimensional. Cancelling ctx (or letting its deadline expire) aborts
 // an in-flight SAT search promptly; the context's error is returned
-// unwrapped so callers can detect it with errors.Is.
+// unwrapped so callers can detect it with errors.Is. It is BuildTileGraph
+// followed by SynthesizeOn.
 func Synthesize(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized, error) {
-	if p.Dims() != 2 {
-		return nil, fmt.Errorf("core: synthesis implemented for 2-dimensional problems, %s is %d-dimensional", p.Name(), p.Dims())
+	if err := checkDims(p); err != nil {
+		return nil, err
 	}
 	if k < 1 || h < 1 || w < 1 {
 		// These parameters arrive from the wire (SolveRequest.Power/H/W);
@@ -91,21 +99,42 @@ func Synthesize(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized,
 	if err != nil {
 		return nil, err
 	}
+	return SynthesizeOn(ctx, p, tg)
+}
+
+// SynthesizeOn is the problem-dependent half of Synthesize: it encodes
+// the tile CSP of p over the tile graph tg in a fresh solver, solves it
+// and extracts the lookup table. The graph depends only on its shape
+// (tg.K, tg.H, tg.W), so one graph may serve every problem of that shape;
+// SynthesizeOn only reads it, and the returned algorithm points at it.
+// Cancellation and errors are as for Synthesize.
+func SynthesizeOn(ctx context.Context, p *lcl.Problem, tg *TileGraph) (*Synthesized, error) {
+	if err := checkDims(p); err != nil {
+		return nil, err
+	}
 	table, stats, err := solveTileCSP(ctx, p, tg)
 	if err != nil {
 		return nil, err
 	}
 	return &Synthesized{
 		Problem:     p,
-		K:           k,
-		H:           h,
-		W:           w,
-		OffR:        h / 2,
-		OffC:        w / 2,
+		K:           tg.K,
+		H:           tg.H,
+		W:           tg.W,
+		OffR:        tg.H / 2,
+		OffC:        tg.W / 2,
 		Graph:       tg,
 		Table:       table,
 		SolverStats: stats,
 	}, nil
+}
+
+// checkDims rejects problems synthesis does not cover.
+func checkDims(p *lcl.Problem) error {
+	if p.Dims() != 2 {
+		return fmt.Errorf("core: synthesis implemented for 2-dimensional problems, %s is %d-dimensional", p.Name(), p.Dims())
+	}
+	return nil
 }
 
 // cspEncoding is the problem-level structure of the tile CSP: the
@@ -311,7 +340,7 @@ func (s *Synthesized) Apply(t *grid.Torus, anchors []bool) ([]int, error) {
 		key := (tiles.Pattern{H: s.H, W: s.W, Bits: win}).Key()
 		ti, ok := s.Graph.Index[key]
 		if !ok {
-			return nil, fmt.Errorf("core: observed window %s at node %d is not a tile (torus too small or anchors invalid)", key, v)
+			return nil, notTileKeyError(key, v)
 		}
 		out[v] = s.Table[ti]
 	}
@@ -321,10 +350,11 @@ func (s *Synthesized) Apply(t *grid.Torus, anchors []bool) ([]int, error) {
 // notTileError reconstructs the human-readable pattern string from a
 // packed window key for the (never expected) tile-miss error path.
 func notTileError(s *Synthesized, key uint64, v int) error {
-	bits := make([]bool, s.H*s.W)
-	for i := range bits {
-		bits[i] = key&(1<<i) != 0
-	}
-	pat := tiles.Pattern{H: s.H, W: s.W, Bits: bits}
-	return fmt.Errorf("core: observed window %s at node %d is not a tile (torus too small or anchors invalid)", pat.Key(), v)
+	return notTileKeyError(unpackPattern(key, s.H, s.W).Key(), v)
+}
+
+// notTileKeyError is the ErrNotATile error for the window with pattern
+// key observed at node v.
+func notTileKeyError(key string, v int) error {
+	return fmt.Errorf("%w: %s at node %d (torus too small or anchors invalid)", ErrNotATile, key, v)
 }

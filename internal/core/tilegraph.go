@@ -25,6 +25,13 @@ import (
 // restrictions of every h×(w+1) tile (west tile → east tile), a vertical
 // edge the two restrictions of every (h+1)×w tile (south tile → north
 // tile).
+//
+// A TileGraph depends only on its shape (K, H, W), never on a problem,
+// and it is immutable once built: nothing writes to Tiles, Index, HEdges
+// or VEdges after construction, and the lazy BitIndex is built under a
+// sync.Once. One graph may therefore be shared by every synthesis and
+// every cached table of its shape (lclgrid's Engine keeps one per shape
+// of the default oracle schedule) and read from any goroutine.
 type TileGraph struct {
 	K, H, W int
 	Tiles   []tiles.Pattern
@@ -35,7 +42,8 @@ type TileGraph struct {
 	VEdges [][2]int
 
 	// bitOnce guards the lazy integer-keyed index; TileGraphs are always
-	// shared by pointer (engine cache, singleflight), never copied.
+	// shared by pointer (engine graphs and cache, singleflight), never
+	// copied.
 	bitOnce sync.Once
 	bitIdx  map[uint64]int
 	bitOK   bool

@@ -629,7 +629,7 @@ func (e *WindowEvaluator) label(x, y int, bitIdx map[uint64]int, bitOK bool) (in
 	key := (tiles.Pattern{H: s.H, W: s.W, Bits: win}).Key()
 	ti, ok := s.Graph.Index[key]
 	if !ok {
-		return 0, fmt.Errorf("core: observed window %s at node %d is not a tile (torus too small or anchors invalid)", key, x+y*e.nx)
+		return 0, notTileKeyError(key, x+y*e.nx)
 	}
 	return s.Table[ti], nil
 }

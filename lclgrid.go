@@ -232,6 +232,12 @@ var ErrUnsatisfiable = core.ErrUnsatisfiable
 // the Θ(n) baseline in that case unless synthesis was forced.
 var ErrTorusTooSmall = core.ErrTorusTooSmall
 
+// ErrNotATile reports that a normal form met an anchor window that is
+// not one of its tiles: a fault in S_k, in A′ or in a cached table, never
+// a property of the request. Engine.Solve returns it at once, without
+// trying a later plan stage.
+var ErrNotATile = core.ErrNotATile
+
 // IsContextError reports whether err is a context cancellation or
 // deadline expiry — the distinction between an aborted request and a
 // failed one, used by services to decide retries and exit codes.

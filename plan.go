@@ -512,7 +512,8 @@ func baselineStage(p *Problem, t *Torus, o Options, classOf func() Class, fallba
 
 // executePlan walks the plan's ranked strategies under ctx: skipped
 // stages are recorded and passed over, the fallback baseline runs only
-// when the preceding failure arms it, and the first success returns a
+// when the preceding failure arms it, an ErrNotATile failure ends the
+// walk at once, and the first success returns a
 // Result (on a copy — solvers own the Results they return) carrying the
 // full Trace and, when the solver left the class open, the plan's
 // registered classification. Per-stage outcomes are mirrored to the
@@ -572,6 +573,13 @@ func (e *Engine) executePlan(ctx context.Context, req SolveRequest, plan *Plan) 
 		}
 		trace = append(trace, TraceStep{Strategy: st.Kind, Outcome: TraceFailed, Detail: err.Error(), Elapsed: elapsed})
 		lastRes, lastErr = res, err
+		if errors.Is(err, ErrNotATile) {
+			// A window that is no tile is a fault in S_k, A′ or the table,
+			// not a property of the request: no later stage can be trusted
+			// to mend it, and a synthesis stage could hold the request
+			// for its whole deadline.
+			break
+		}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("lclgrid: no strategy applies to %s on torus %v", plan.Problem, plan.Sides)
