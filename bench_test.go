@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	lclgrid "lclgrid"
+	"lclgrid/internal/core"
 	"lclgrid/internal/experiments"
 	"lclgrid/internal/sat"
 	"lclgrid/internal/tiles"
@@ -170,6 +171,39 @@ func BenchmarkGlobalBaseline3Colouring(b *testing.B) {
 		if _, ok, err := lclgrid.SolveGlobal(context.Background(), p, g); !ok || err != nil {
 			b.Fatal("unsolvable")
 		}
+	}
+}
+
+// BenchmarkSynthesizeOn is the synthesis rung of the ladder: encoding
+// and solving one problem's tile CSP over a tile graph built once,
+// outside the timer — the layer between the tile graph and
+// Engine.Solve. 3col and 2col are UNSAT at (3, 7, 7), 4col is SAT at
+// (3, 7, 5).
+func BenchmarkSynthesizeOn(b *testing.B) {
+	for _, bc := range []struct {
+		name             string
+		colours, k, h, w int
+		sat              bool
+	}{
+		{"3col-3x7x7", 3, 3, 7, 7, false},
+		{"2col-3x7x7", 2, 3, 7, 7, false},
+		{"4col-3x7x5", 4, 3, 7, 5, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			tg, err := core.BuildTileGraph(ctx, bc.k, bc.h, bc.w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := lclgrid.VertexColoring(bc.colours, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.SynthesizeOn(ctx, p, tg); (err == nil) != bc.sat {
+					b.Fatalf("synthesis error %v, want SAT=%v", err, bc.sat)
+				}
+			}
+		})
 	}
 }
 

@@ -29,38 +29,8 @@ func Diameter(t *grid.Torus) int {
 // ctx aborts the SAT search and surfaces the context's error; in that
 // case the solvability answer is meaningless and must be ignored.
 func SolveGlobal(ctx context.Context, p *lcl.Problem, t *grid.Torus) ([]int, bool, error) {
-	n, kk := t.N(), p.K()
-	s := sat.NewSolver(n * kk)
-	v := func(node, a int) int { return node*kk + a }
-	for node := 0; node < n; node++ {
-		lits := make([]sat.Lit, 0, kk)
-		for a := 0; a < kk; a++ {
-			if p.NodeOK(a) {
-				lits = append(lits, sat.Pos(v(node, a)))
-			} else {
-				s.AddClause(sat.Neg(v(node, a)))
-			}
-		}
-		s.AddClause(lits...)
-	}
-	for node := 0; node < n; node++ {
-		for dim := 0; dim < t.Dim(); dim++ {
-			u := t.Move(node, dim, 1)
-			for a := 0; a < kk; a++ {
-				if !p.NodeOK(a) {
-					continue
-				}
-				for b := 0; b < kk; b++ {
-					if !p.NodeOK(b) {
-						continue
-					}
-					if !p.Allowed(dim, a, b) {
-						s.AddClause(sat.Neg(v(node, a)), sat.Neg(v(u, b)))
-					}
-				}
-			}
-		}
-	}
+	enc := newCSPEncoding(p, t.Dim())
+	s := newGlobalSolver(enc, t)
 	ok, err := s.SolveContext(ctx)
 	if err != nil {
 		return nil, false, err
@@ -68,17 +38,27 @@ func SolveGlobal(ctx context.Context, p *lcl.Problem, t *grid.Torus) ([]int, boo
 	if !ok {
 		return nil, false, nil
 	}
-	out := make([]int, n)
-	for node := 0; node < n; node++ {
-		out[node] = -1
-		for a := 0; a < kk; a++ {
-			if p.NodeOK(a) && s.Value(v(node, a)) {
-				out[node] = a
-				break
-			}
-		}
+	out := make([]int, t.N())
+	for node := range out {
+		out[node] = enc.label(s, node)
 	}
 	return out, true, nil
+}
+
+// newGlobalSolver encodes the labelling CSP of the torus t itself: one
+// node per torus node and an edge from every node to its successor in
+// each dimension, node-major and dimension-minor. Sides of 1 make those
+// edges self-loops and sides of 2 parallel edges.
+func newGlobalSolver(enc *cspEncoding, t *grid.Torus) *sat.Solver {
+	s := enc.newSolver(t.N())
+	enc.addEdges(s, sat.NewPairGraph(t.N(), func(add func(u, v, dim int)) {
+		for node := 0; node < t.N(); node++ {
+			for dim := 0; dim < t.Dim(); dim++ {
+				add(node, t.Move(node, dim, 1), dim)
+			}
+		}
+	}))
+	return s
 }
 
 // SolveGlobalWithRounds is SolveGlobal with the round accounting of the

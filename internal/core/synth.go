@@ -103,8 +103,9 @@ func Synthesize(ctx context.Context, p *lcl.Problem, k, h, w int) (*Synthesized,
 }
 
 // SynthesizeOn is the problem-dependent half of Synthesize: it encodes
-// the tile CSP of p over the tile graph tg in a fresh solver, solves it
-// and extracts the lookup table. The graph depends only on its shape
+// the tile CSP of p over the tile graph tg (built by BuildTileGraph) in
+// a fresh solver, solves it and extracts the lookup table. The graph
+// depends only on its shape
 // (tg.K, tg.H, tg.W), so one graph may serve every problem of that shape;
 // SynthesizeOn only reads it, and the returned algorithm points at it.
 // Cancellation and errors are as for Synthesize.
@@ -137,20 +138,22 @@ func checkDims(p *lcl.Problem) error {
 	return nil
 }
 
-// cspEncoding is the problem-level structure of the tile CSP: the
-// partition of labels into node-valid and node-invalid, and per
-// dimension the forbidden label pairs. Precomputing it turns the
-// per-edge encoding loop into pure index arithmetic — no
-// Allowed/NodeOK callback runs per edge.
+// cspEncoding is the problem-level structure of a labelling CSP (the
+// tile CSP, or the direct torus encoding of SolveGlobal): the partition
+// of labels into node-valid and node-invalid, and per dimension the
+// forbidden label pairs, both as a list and as the solver's pair lists.
+// Precomputing it leaves no Allowed/NodeOK callback to run per edge, and
+// no per-edge clause to build: the edges' clauses are a pair constraint.
 type cspEncoding struct {
 	kk        int
 	okLabels  []int
 	badLabels []int
-	forb      [2][][2]int // per dimension, forbidden (a, b) pairs among OK labels
+	forb      [][][2]int // per dimension, forbidden (a, b) pairs among OK labels
+	pairs     *sat.PairLists
 }
 
-func newCSPEncoding(p *lcl.Problem) *cspEncoding {
-	enc := &cspEncoding{kk: p.K()}
+func newCSPEncoding(p *lcl.Problem, dims int) *cspEncoding {
+	enc := &cspEncoding{kk: p.K(), forb: make([][][2]int, dims)}
 	for a := 0; a < enc.kk; a++ {
 		if p.NodeOK(a) {
 			enc.okLabels = append(enc.okLabels, a)
@@ -158,7 +161,7 @@ func newCSPEncoding(p *lcl.Problem) *cspEncoding {
 			enc.badLabels = append(enc.badLabels, a)
 		}
 	}
-	for dim := 0; dim < 2; dim++ {
+	for dim := range enc.forb {
 		for _, a := range enc.okLabels {
 			for _, b := range enc.okLabels {
 				if !p.Allowed(dim, a, b) {
@@ -167,53 +170,76 @@ func newCSPEncoding(p *lcl.Problem) *cspEncoding {
 			}
 		}
 	}
+	enc.pairs = sat.NewPairLists(enc.kk, enc.forb)
 	return enc
 }
 
-// encodeTileCSP adds the CSP clauses for tile graph tg to s: variable
-// t*kk + a is "tile t outputs label a"; every tile holds at least one
-// valid label, and the per-dimension relations hold across every edge of
-// the tile graph. At-most-one constraints are unnecessary because all
-// edge constraints are negative: any chosen label among a tile's true
-// variables works.
-func encodeTileCSP(s *sat.Solver, enc *cspEncoding, tg *TileGraph) {
-	nt, kk := tg.NumTiles(), enc.kk
+// newSolver returns a solver over n nodes' labels holding the node
+// clauses: variable u*kk + a is "node u outputs label a"; every node
+// holds at least one valid label. At-most-one constraints are
+// unnecessary because all edge constraints are negative: any chosen
+// label among a node's true variables works.
+func (enc *cspEncoding) newSolver(n int) *sat.Solver {
+	kk := enc.kk
+	s := sat.NewSolver(n * kk)
 	lits := make([]sat.Lit, 0, kk)
-	for t := 0; t < nt; t++ {
+	for u := 0; u < n; u++ {
 		for _, a := range enc.badLabels {
-			s.AddClause(sat.Neg(t*kk + a))
+			s.AddClause(sat.Neg(u*kk + a))
 		}
 		lits = lits[:0]
 		for _, a := range enc.okLabels {
-			lits = append(lits, sat.Pos(t*kk+a))
+			lits = append(lits, sat.Pos(u*kk+a))
 		}
 		s.AddClause(lits...)
 	}
-	// West tile is the node and east tile its dim-0 successor; south tile
-	// the node and north tile its dim-1 successor.
-	for dim, edges := range [2][][2]int{tg.HEdges, tg.VEdges} {
-		for _, e := range edges {
-			b1, b2 := e[0]*kk, e[1]*kk
-			for _, pr := range enc.forb[dim] {
-				s.AddClause(sat.Neg(b1+pr[0]), sat.Neg(b2+pr[1]))
-			}
+	return s
+}
+
+// addEdges adds the edge relations of g: its self-loops as explicit
+// clauses (a loop turns a forbidden (a, a) into a unit), then every
+// other edge as the pair constraint.
+func (enc *cspEncoding) addEdges(s *sat.Solver, g *sat.PairGraph) {
+	kk := enc.kk
+	for _, l := range g.Loops() {
+		for _, pr := range enc.forb[l.Dim] {
+			s.AddClause(sat.Neg(l.Node*kk+pr[0]), sat.Neg(l.Node*kk+pr[1]))
 		}
 	}
+	s.AddPairConstraint(g, enc.pairs)
+}
+
+// label returns node u's label in the solver's model: its first true
+// valid label, or -1.
+func (enc *cspEncoding) label(s *sat.Solver, u int) int {
+	for _, a := range enc.okLabels {
+		if s.Value(u*enc.kk + a) {
+			return a
+		}
+	}
+	return -1
+}
+
+// newTileCSPSolver encodes the tile CSP of tg in a fresh solver. The
+// relations hold across every edge of the tile graph: the west tile is
+// the node and the east tile its dim-0 successor, the south tile the
+// node and the north tile its dim-1 successor. A dimension's self-loops
+// go in ahead of its other edges, which is their place in H's edge
+// order: only the empty tile can be its own neighbour, and its joint is
+// the first one enumerated.
+func newTileCSPSolver(enc *cspEncoding, tg *TileGraph) *sat.Solver {
+	s := enc.newSolver(tg.NumTiles())
+	for _, g := range tg.adj {
+		enc.addEdges(s, g)
+	}
+	return s
 }
 
 // extractTable reads the tile labelling out of the solver's model.
 func extractTable(s *sat.Solver, enc *cspEncoding, tg *TileGraph) ([]int, error) {
-	nt, kk := tg.NumTiles(), enc.kk
-	table := make([]int, nt)
-	for t := 0; t < nt; t++ {
-		table[t] = -1
-		for _, a := range enc.okLabels {
-			if s.Value(t*kk + a) {
-				table[t] = a
-				break
-			}
-		}
-		if table[t] < 0 {
+	table := make([]int, tg.NumTiles())
+	for t := range table {
+		if table[t] = enc.label(s, t); table[t] < 0 {
 			return nil, errors.New("core: SAT model leaves a tile unlabelled")
 		}
 	}
@@ -223,9 +249,8 @@ func extractTable(s *sat.Solver, enc *cspEncoding, tg *TileGraph) ([]int, error)
 // solveTileCSP encodes and solves the tile-labelling CSP for one shape in
 // a fresh solver.
 func solveTileCSP(ctx context.Context, p *lcl.Problem, tg *TileGraph) ([]int, sat.Stats, error) {
-	enc := newCSPEncoding(p)
-	s := sat.NewSolver(tg.NumTiles() * enc.kk)
-	encodeTileCSP(s, enc, tg)
+	enc := newCSPEncoding(p, 2)
+	s := newTileCSPSolver(enc, tg)
 	ok, err := s.SolveContext(ctx)
 	if err != nil {
 		return nil, s.Stats, err

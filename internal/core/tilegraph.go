@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 
+	"lclgrid/internal/sat"
 	"lclgrid/internal/tiles"
 )
 
@@ -27,11 +28,12 @@ import (
 // tile).
 //
 // A TileGraph depends only on its shape (K, H, W), never on a problem,
-// and it is immutable once built: nothing writes to Tiles, Index, HEdges
-// or VEdges after construction, and the lazy BitIndex is built under a
-// sync.Once. One graph may therefore be shared by every synthesis and
-// every cached table of its shape (lclgrid's Engine keeps one per shape
-// of the default oracle schedule) and read from any goroutine.
+// and it is immutable once built: nothing writes to Tiles, Index, HEdges,
+// VEdges or the adjacency after construction, and the lazy BitIndex is
+// built under a sync.Once. One graph may therefore be shared by every
+// synthesis and every cached table of its shape (lclgrid's Engine keeps
+// one per shape of the default oracle schedule) and read from any
+// goroutine.
 type TileGraph struct {
 	K, H, W int
 	Tiles   []tiles.Pattern
@@ -40,6 +42,12 @@ type TileGraph struct {
 	HEdges [][2]int
 	// VEdges[i] = {south tile index, north tile index}.
 	VEdges [][2]int
+
+	// adj[0] and adj[1] are HEdges and VEdges as the solver's pair-
+	// constraint adjacency: what every tile CSP over this graph reads
+	// its forbidden-pair clauses from. Graphs rebuilt from the wire form
+	// have no edges and no adjacency, and cannot be synthesized over.
+	adj [2]*sat.PairGraph
 
 	// bitOnce guards the lazy integer-keyed index; TileGraphs are always
 	// shared by pointer (engine graphs and cache, singleflight), never
@@ -135,6 +143,7 @@ func BuildTileGraph(ctx context.Context, k, h, w int) (*TileGraph, error) {
 		}
 		tg.VEdges = append(tg.VEdges, [2]int{si, ni})
 	}
+	tg.buildAdjacency()
 	return tg, nil
 }
 
@@ -204,7 +213,20 @@ func buildTileGraphPacked(ctx context.Context, k, h, w int) (*TileGraph, error) 
 		}
 		tg.VEdges = append(tg.VEdges, [2]int{si, ni})
 	}
+	tg.buildAdjacency()
 	return tg, nil
+}
+
+// buildAdjacency derives the pair-constraint adjacency from the edge
+// lists, one graph per dimension, each in its edge order.
+func (tg *TileGraph) buildAdjacency() {
+	for dim, edges := range [2][][2]int{tg.HEdges, tg.VEdges} {
+		tg.adj[dim] = sat.NewPairGraph(len(tg.Tiles), func(add func(u, v, dim int)) {
+			for _, e := range edges {
+				add(e[0], e[1], dim)
+			}
+		})
+	}
 }
 
 // NumTiles returns the number of tiles (nodes of H).

@@ -8,12 +8,20 @@
 // LCL tilings on small tori (the Θ(n) brute-force baseline).
 //
 // The hot path is tuned for the tile CSP's clause mix, which is
-// dominated by binary forbidden-pair clauses: binary clauses live in a
-// dedicated implication list (the other literal is stored inline, no
-// clause dereference), long-clause watches carry a blocker literal, and
-// learned clauses are scored by LBD and activity so the database can be
-// periodically reduced. A search can be cancelled through its context
-// and resumed, and clauses may be added after a search has run.
+// dominated by binary forbidden-pair clauses, one per edge of the tile
+// graph and forbidden label pair. Those are not stored at all: a pair
+// constraint (AddPairConstraint) derives them during propagation from a
+// graph adjacency that every problem over the graph shares and from the
+// problem's short per-label lists of forbidden neighbour labels. Binary
+// clauses added through AddClause, and learned ones, live in per-literal
+// implication lists that are only allocated for literals that get one
+// (the other literal is stored inline, no clause dereference); a true
+// literal's pair-constraint implications come first, then its list.
+// Long-clause watches carry a blocker literal, problem clauses share one
+// arena, and learned clauses are scored by LBD and activity so the
+// database can be periodically reduced. A search can be cancelled
+// through its context and resumed, and clauses may be added after a
+// search has run.
 package sat
 
 import (
@@ -72,6 +80,51 @@ type clause struct {
 	learnt bool
 }
 
+// litLists holds one growable list per literal. A literal's list is
+// allocated on its first entry, and list headers live in fixed-size
+// chunks that are never moved, so a solver pays four bytes per literal
+// for the ones that never get a list and never copies the headers.
+type litLists[T any] struct {
+	slot   []int32 // per literal: 1 + its list's number, or 0
+	chunks [][][]T // list i is chunks[i/litChunk][i%litChunk]
+	n      int32   // lists allocated
+}
+
+const litChunk = 1024
+
+func newLitLists[T any](nLits int) litLists[T] {
+	return litLists[T]{slot: make([]int32, nLits)}
+}
+
+// at returns l's list (nil if it has none).
+func (ll *litLists[T]) at(l Lit) []T {
+	if i := ll.slot[l] - 1; i >= 0 {
+		return ll.chunks[i/litChunk][i%litChunk]
+	}
+	return nil
+}
+
+// add appends x to l's list.
+func (ll *litLists[T]) add(l Lit, x T) {
+	i := ll.slot[l] - 1
+	if i < 0 {
+		i = ll.n
+		ll.n++
+		if int(i/litChunk) == len(ll.chunks) {
+			ll.chunks = append(ll.chunks, make([][]T, litChunk))
+		}
+		ll.slot[l] = i + 1
+	}
+	list := &ll.chunks[i/litChunk][i%litChunk]
+	*list = append(*list, x)
+}
+
+// set replaces l's list, which must exist.
+func (ll *litLists[T]) set(l Lit, xs []T) {
+	i := ll.slot[l] - 1
+	ll.chunks[i/litChunk][i%litChunk] = xs
+}
+
 // watcher is a watch-list entry for a long clause: the clause reference
 // plus a blocker literal (some other literal of the clause). If the
 // blocker is true the clause is satisfied and need not be dereferenced.
@@ -87,10 +140,12 @@ type watcher struct {
 // model and re-solves.
 type Solver struct {
 	nVars   int
-	clauses []clause    // long clauses; deleted slots are recycled via free
-	free    []int32     // recycled clause slots
-	watches [][]watcher // for each literal, long-clause watches
-	bins    [][]Lit     // for each literal p, literals implied when p is true
+	clauses []clause          // long clauses; deleted slots are recycled via free
+	free    []int32           // recycled clause slots
+	arena   []Lit             // backing store of problem clauses; never reallocated
+	watches litLists[watcher] // for each literal, long-clause watches
+	bins    litLists[Lit]     // for each literal p, literals implied when p is true
+	pairs   []pairConstraint  // implicit binary clauses, visited before bins
 
 	numProblem int // live problem clauses of length >= 2
 	numLearnts int // live learnt clauses stored in the clause database
@@ -114,6 +169,7 @@ type Solver struct {
 	maxLearnts int // reduceDB threshold; initialized on first solve
 
 	binConfl  [2]Lit   // scratch conflict clause for binary conflicts
+	learnt    []Lit    // reusable analyze result buffer
 	tmpReason [1]Lit   // scratch reason slice for binary reasons in analyze
 	addSeen   []int8   // per-literal scratch for AddClause deduplication
 	addBuf    []Lit    // reusable AddClause simplification buffer
@@ -151,8 +207,8 @@ type Stats struct {
 func NewSolver(nVars int) *Solver {
 	s := &Solver{
 		nVars:     nVars,
-		watches:   make([][]watcher, 2*nVars),
-		bins:      make([][]Lit, 2*nVars),
+		watches:   newLitLists[watcher](2 * nVars),
+		bins:      newLitLists[Lit](2 * nVars),
 		addSeen:   make([]int8, 2*nVars),
 		assign:    make([]int8, nVars),
 		level:     make([]int32, nVars),
@@ -245,27 +301,35 @@ func (s *Solver) AddClause(lits ...Lit) {
 		s.addBinary(simplified[0], simplified[1])
 	default:
 		s.numProblem++
-		cl := make([]Lit, len(simplified))
-		copy(cl, simplified)
-		s.attachClause(cl, false)
+		s.attachClause(s.arenaCopy(simplified), false)
 	}
+}
+
+// arenaCopy copies a problem clause into the arena. The arena grows by
+// whole new chunks, never by reallocation, so stored clauses keep
+// pointing at live memory; problem clauses are never deleted.
+func (s *Solver) arenaCopy(lits []Lit) []Lit {
+	if cap(s.arena)-len(s.arena) < len(lits) {
+		n := 2 * cap(s.arena)
+		if n < 1024 {
+			n = 1024
+		}
+		if n < len(lits) {
+			n = len(lits)
+		}
+		s.arena = make([]Lit, 0, n)
+	}
+	start := len(s.arena)
+	s.arena = append(s.arena, lits...)
+	return s.arena[start:len(s.arena):len(s.arena)]
 }
 
 // addBinary records the binary clause (a ∨ b) in the implication lists.
-// Lists start at capacity 8: encodings in this repo attach several
-// binaries per literal, and skipping the 1→2→4 growth steps measurably
-// cuts encoding time.
+// Only explicitly added and learned binaries are stored this way; the
+// forbidden-pair clauses of a CSP are implied by its pair constraints.
 func (s *Solver) addBinary(a, b Lit) {
-	s.appendBin(a.Not(), b)
-	s.appendBin(b.Not(), a)
-}
-
-func (s *Solver) appendBin(watch, imp Lit) {
-	w := s.bins[watch]
-	if cap(w) == 0 {
-		w = make([]Lit, 0, 8)
-	}
-	s.bins[watch] = append(w, imp)
+	s.bins.add(a.Not(), b)
+	s.bins.add(b.Not(), a)
 }
 
 // attachClause stores a clause of length >= 3 and watches its first two
@@ -278,10 +342,15 @@ func (s *Solver) attachClause(lits []Lit, learnt bool) int32 {
 		s.clauses[ci] = clause{lits: lits, learnt: learnt}
 	} else {
 		ci = int32(len(s.clauses))
+		if len(s.clauses) == cap(s.clauses) {
+			// Double: append's 1.25× steps for large slices would copy
+			// a problem's clause table several times over.
+			s.clauses = append(make([]clause, 0, 2*cap(s.clauses)+64), s.clauses...)
+		}
 		s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt})
 	}
-	s.watches[lits[0]] = append(s.watches[lits[0]], watcher{ci, lits[1]})
-	s.watches[lits[1]] = append(s.watches[lits[1]], watcher{ci, lits[0]})
+	s.watches.add(lits[0], watcher{ci, lits[1]})
+	s.watches.add(lits[1], watcher{ci, lits[0]})
 	return ci
 }
 
@@ -296,11 +365,11 @@ func (s *Solver) detachClause(ci int32) {
 }
 
 func (s *Solver) removeWatch(l Lit, ci int32) {
-	ws := s.watches[l]
+	ws := s.watches.at(l)
 	for i := range ws {
 		if ws[i].cref == ci {
 			ws[i] = ws[len(ws)-1]
-			s.watches[l] = ws[:len(ws)-1]
+			s.watches.set(l, ws[:len(ws)-1])
 			return
 		}
 	}
@@ -355,9 +424,17 @@ func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
-		// Binary implications first: the other literal is inline, no
-		// clause dereference.
-		for _, imp := range s.bins[p] {
+		// Binary implications first: the pair constraints' in edge
+		// order, then the stored ones, whose other literal is inline.
+		if p.Positive() {
+			for i := range s.pairs {
+				if !s.propagatePairs(&s.pairs[i], p) {
+					s.qhead = len(s.trail)
+					return conflBin
+				}
+			}
+		}
+		for _, imp := range s.bins.at(p) {
 			switch s.value(imp) {
 			case lTrue:
 			case lFalse:
@@ -370,7 +447,10 @@ func (s *Solver) propagate() int32 {
 			}
 		}
 		falsified := p.Not()
-		ws := s.watches[falsified]
+		ws := s.watches.at(falsified)
+		if ws == nil {
+			continue
+		}
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
@@ -394,7 +474,7 @@ func (s *Solver) propagate() int32 {
 			for k := 2; k < len(c); k++ {
 				if s.value(c[k]) != lFalse {
 					c[1], c[k] = c[k], c[1]
-					s.watches[c[1]] = append(s.watches[c[1]], watcher{w.cref, first})
+					s.watches.add(c[1], watcher{w.cref, first})
 					moved = true
 					break
 				}
@@ -407,22 +487,23 @@ func (s *Solver) propagate() int32 {
 			if !s.enqueue(first, w.cref) {
 				// Conflict: keep remaining watches and bail out.
 				kept = append(kept, ws[wi+1:]...)
-				s.watches[falsified] = kept
+				s.watches.set(falsified, kept)
 				s.qhead = len(s.trail)
 				return w.cref
 			}
 			s.Stats.Propagated++
 		}
-		s.watches[falsified] = kept
+		s.watches.set(falsified, kept)
 	}
 	return conflNone
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first, minimized by self-subsumption over
-// reason clauses) and the backjump level.
+// reason clauses) and the backjump level. The clause lives in a buffer
+// the next analyze call reuses.
 func (s *Solver) analyze(confl int32) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+	learnt := append(s.learnt[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit = -1
 	index := len(s.trail) - 1
@@ -512,6 +593,7 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 	for _, l := range s.minClear {
 		s.seen[l.Var()] = false
 	}
+	s.learnt = learnt
 	return learnt, int(backLevel)
 }
 
